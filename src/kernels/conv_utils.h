@@ -1,6 +1,7 @@
 // Shared convolution/pooling geometry and quantized-multiplier preparation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,22 @@ inline std::int64_t same_pad_before(std::int64_t in, int filter, int stride,
   std::int64_t needed = (out - 1) * stride + filter - in;
   if (needed < 0) needed = 0;
   return needed / 2;
+}
+
+// Filter taps [begin, end) of one pooling window that land inside the input
+// along one axis: those f with 0 <= out_pos * stride - pad + f < in. The
+// range is empty (end <= begin) when the window lies wholly in padding.
+struct TapRange {
+  int begin = 0;
+  int end = 0;
+  int size() const { return end > begin ? end - begin : 0; }
+};
+
+inline TapRange valid_taps(std::int64_t out_pos, int stride, std::int64_t pad,
+                           int filter, std::int64_t in) {
+  const std::int64_t start = out_pos * stride - pad;
+  return {static_cast<int>(std::max<std::int64_t>(0, -start)),
+          static_cast<int>(std::min<std::int64_t>(filter, in - start))};
 }
 
 // Per-output-channel requantization factors for a quantized conv/fc node:

@@ -23,8 +23,9 @@ const KernelEntry& OpResolver::find(const Node& node) const {
 
 BuiltinOpResolver::BuiltinOpResolver(KernelBugConfig bugs) {
   register_shared_kernels(map_);
-  // Reference implementations first: ops without an optimized variant
-  // (pools f32, mean, add, mul) fall back to these.
+  // Reference registrations first, then the optimized overrides. The f32
+  // pools, Mean, Add/Sub, Mul and activations have no override: their one
+  // shared, vectorized implementation serves both resolvers.
   register_ref_float_kernels(map_);
   register_ref_quant_kernels(map_, /*emulate_avgpool_bug=*/false);
   // Optimized overrides.

@@ -620,6 +620,9 @@ void fc_i8_opt(const KernelContext& ctx) {
 
 // Integer-only average pool (sum + rounded integer division); assumes the
 // quantizer keeps input and output scales identical for pools, which it does.
+// Channels innermost: each valid tap adds one contiguous input row into an
+// int32 row accumulator, so the window walk vectorizes. Integer sums are
+// order-free, so the result is bit-identical to a per-channel scalar walk.
 void avgpool_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
   const Node& node = *ctx.node;
@@ -628,37 +631,45 @@ void avgpool_i8_opt(const KernelContext& ctx) {
   const Shape& os = out.shape();
   const int fh = node.attrs.filter_h;
   const int fw = node.attrs.filter_w;
+  const int sh = node.attrs.stride_h;
+  const int sw = node.attrs.stride_w;
+  const std::int64_t in_h = is.dim(1);
+  const std::int64_t in_w = is.dim(2);
   const std::int64_t ch = is.dim(3);
-  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(1), fh, node.attrs.stride_h, os.dim(1))
-                                 : 0;
-  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
-                                 ? same_pad_before(is.dim(2), fw, node.attrs.stride_w, os.dim(2))
-                                 : 0;
+  const std::int64_t out_h = os.dim(1);
+  const std::int64_t out_w = os.dim(2);
+  const std::int64_t pad_h =
+      node.attrs.padding == Padding::kSame ? same_pad_before(in_h, fh, sh, out_h) : 0;
+  const std::int64_t pad_w =
+      node.attrs.padding == Padding::kSame ? same_pad_before(in_w, fw, sw, out_w) : 0;
   const std::int8_t* x = in.data<std::int8_t>();
   std::int8_t* y = out.data<std::int8_t>();
+  std::int32_t* acc = ctx.scratch<std::int32_t>(ch);
   for (std::int64_t n = 0; n < os.dim(0); ++n) {
-    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
-      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
-        for (std::int64_t c = 0; c < ch; ++c) {
-          std::int32_t sum = 0;
-          int count = 0;
-          for (int fy = 0; fy < fh; ++fy) {
-            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
-            if (iy < 0 || iy >= is.dim(1)) continue;
-            for (int fx = 0; fx < fw; ++fx) {
-              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
-              if (ix < 0 || ix >= is.dim(2)) continue;
-              sum += x[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c];
-              ++count;
-            }
+    const std::int8_t* xn = x + n * in_h * in_w * ch;
+    for (std::int64_t oy = 0; oy < out_h; ++oy) {
+      const TapRange ty = valid_taps(oy, sh, pad_h, fh, in_h);
+      for (std::int64_t ox = 0; ox < out_w; ++ox) {
+        const TapRange tx = valid_taps(ox, sw, pad_w, fw, in_w);
+        std::fill_n(acc, ch, 0);
+        for (int fy = ty.begin; fy < ty.end; ++fy) {
+          const std::int64_t iy = oy * sh - pad_h + fy;
+          for (int fx = tx.begin; fx < tx.end; ++fx) {
+            const std::int8_t* px =
+                xn + (iy * in_w + ox * sw - pad_w + fx) * ch;
+            for (std::int64_t c = 0; c < ch; ++c) acc[c] += px[c];
           }
+        }
+        const int count = ty.size() * tx.size();
+        std::int8_t* row = y + ((n * out_h + oy) * out_w + ox) * ch;
+        for (std::int64_t c = 0; c < ch; ++c) {
+          const std::int32_t sum = acc[c];
           // Rounded division toward nearest.
-          std::int32_t q = count > 0
-                               ? (sum >= 0 ? (sum + count / 2) / count
-                                           : (sum - count / 2) / count)
-                               : 0;
-          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] = clamp_to_i8(q);
+          const std::int32_t q = count > 0
+                                     ? (sum >= 0 ? (sum + count / 2) / count
+                                                 : (sum - count / 2) / count)
+                                     : 0;
+          row[c] = clamp_to_i8(q);
         }
       }
     }

@@ -2,6 +2,11 @@
 // "easy-to-understand but inefficient" baseline a debugging resolver invokes
 // (mirrors TFLite's register_ref.h kernels discussed in the paper §4.4).
 //
+// The f32 pools, Mean, Add/Sub and Mul registered here are not a naive
+// baseline: they are the single vectorizable implementation the optimized
+// resolver also runs (it registers no f32 override for them), bit-identical
+// to a per-element scalar loop by construction.
+//
 // The quantized AveragePool2D kernel optionally emulates the production bug
 // the paper discovered in MobileNetV3's squeeze-excite pools (constant/
 // invalid output); see KernelBugConfig in op_resolver.h.

@@ -69,8 +69,9 @@ double linf_error(const Tensor& a, const Tensor& b) {
   Tensor fb = b.to_f32();
   const float* pa = fa.data<float>();
   const float* pb = fb.data<float>();
+  const std::int64_t n = fa.num_elements();
   double worst = 0.0;
-  for (std::int64_t i = 0; i < fa.num_elements(); ++i) {
+  for (std::int64_t i = 0; i < n; ++i) {
     worst = std::max(worst, std::abs(static_cast<double>(pa[i]) - pb[i]));
   }
   return worst;
@@ -85,7 +86,8 @@ double cosine_distance(const Tensor& a, const Tensor& b) {
   double dot = 0.0;
   double na = 0.0;
   double nb = 0.0;
-  for (std::int64_t i = 0; i < fa.num_elements(); ++i) {
+  const std::int64_t n = fa.num_elements();
+  for (std::int64_t i = 0; i < n; ++i) {
     dot += static_cast<double>(pa[i]) * pb[i];
     na += static_cast<double>(pa[i]) * pa[i];
     nb += static_cast<double>(pb[i]) * pb[i];

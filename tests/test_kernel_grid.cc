@@ -23,10 +23,12 @@
 #include <limits>
 #include <new>
 
+#include "src/convert/converter.h"
 #include "src/graph/builder.h"
 #include "src/interpreter/interpreter.h"
 #include "src/kernels/fixed_point.h"
 #include "src/kernels/gemm.h"
+#include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
@@ -436,6 +438,50 @@ TEST(SteadyStateAlloc, QuantizedInvokeIsHeapFreeAfterWarmup) {
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before);
   EXPECT_EQ(g_heap_allocs.load(), heap_before);
   EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before);
+}
+
+// Whole-model steady state: mobilenet_v3_mini sends its HardSwish, SE pools,
+// SE gates and residual Adds through the shared f32 kernels, and its int8 SE
+// pools through avgpool_i8_opt's scratch row accumulator. After one warm-up
+// invoke, further invokes must touch neither the heap nor AllocStats and
+// must keep the scratch high-water mark flat.
+void expect_model_steady_state_clean(const Graph& g, const std::string& label) {
+  BuiltinOpResolver opt;
+  Interpreter interp(&g, &opt, /*num_threads=*/2);
+  Pcg32 drng(91);
+  interp.set_input(0, random_input(g.node(g.input_ids()[0]).output_shape,
+                                   drng, -1.0f, 1.0f));
+  interp.invoke();
+  const std::uint64_t events_before = AllocStats::instance().alloc_events();
+  const std::uint64_t heap_before = g_heap_allocs.load();
+  const std::size_t high_water_before =
+      interp.scratch_arena().high_water_bytes();
+  for (int i = 0; i < 3; ++i) interp.invoke();
+  EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
+      << label << ": steady-state invoke registered allocations";
+  EXPECT_EQ(g_heap_allocs.load(), heap_before)
+      << label << ": steady-state invoke touched the heap";
+  EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before)
+      << label << ": steady-state invoke grew the scratch arena";
+}
+
+TEST(SteadyStateAlloc, MobileNetV3F32IsHeapFreeAtBatch1And8) {
+  for (int batch : {1, 8}) {
+    const Graph g =
+        convert_for_inference(build_mobilenet_v3_mini(7, batch).model);
+    expect_model_steady_state_clean(g, "f32/b" + std::to_string(batch));
+  }
+}
+
+TEST(SteadyStateAlloc, MobileNetV3Int8IsHeapFreeAtBatch1) {
+  const Graph f32 = convert_for_inference(build_mobilenet_v3_mini(7, 1).model);
+  const Shape in_shape = f32.node(f32.input_ids()[0]).output_shape;
+  Calibrator calib(&f32);
+  Pcg32 crng(92);
+  for (int i = 0; i < 4; ++i) {
+    calib.observe({random_input(in_shape, crng, -1.0f, 1.0f)});
+  }
+  expect_model_steady_state_clean(quantize_model(f32, calib), "i8/b1");
 }
 
 // --- batched inference -------------------------------------------------------

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <vector>
 
 #include "src/graph/builder.h"
 #include "src/interpreter/interpreter.h"
+#include "src/kernels/conv_utils.h"
 #include "src/kernels/fixed_point.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/tensor_stats.h"
@@ -355,6 +359,147 @@ TEST(QuantKernels, AvgPoolBugEmulationCollapsesOutput) {
   // The correct kernels agree with the float mean within quantization noise.
   EXPECT_LT(normalized_rmse(gi.output(0), gi.output(0)), 1e-9);
 }
+
+// --- int8 AvgPool: optimized kernel vs its scalar predecessor and ref -----
+
+// Verbatim copy of the per-channel scalar avgpool_i8_opt the channel-
+// innermost kernel replaced. Integer sums are order-free, so the rewrite
+// must match it bit for bit.
+void legacy_avgpool_i8_opt(const KernelContext& ctx) {
+  const Tensor& in = ctx.input(0);
+  const Node& node = *ctx.node;
+  Tensor& out = *ctx.output;
+  const Shape& is = in.shape();
+  const Shape& os = out.shape();
+  const int fh = node.attrs.filter_h;
+  const int fw = node.attrs.filter_w;
+  const std::int64_t ch = is.dim(3);
+  const std::int64_t pad_h = node.attrs.padding == Padding::kSame
+                                 ? same_pad_before(is.dim(1), fh, node.attrs.stride_h, os.dim(1))
+                                 : 0;
+  const std::int64_t pad_w = node.attrs.padding == Padding::kSame
+                                 ? same_pad_before(is.dim(2), fw, node.attrs.stride_w, os.dim(2))
+                                 : 0;
+  const std::int8_t* x = in.data<std::int8_t>();
+  std::int8_t* y = out.data<std::int8_t>();
+  for (std::int64_t n = 0; n < os.dim(0); ++n) {
+    for (std::int64_t oy = 0; oy < os.dim(1); ++oy) {
+      for (std::int64_t ox = 0; ox < os.dim(2); ++ox) {
+        for (std::int64_t c = 0; c < ch; ++c) {
+          std::int32_t sum = 0;
+          int count = 0;
+          for (int fy = 0; fy < fh; ++fy) {
+            const std::int64_t iy = oy * node.attrs.stride_h - pad_h + fy;
+            if (iy < 0 || iy >= is.dim(1)) continue;
+            for (int fx = 0; fx < fw; ++fx) {
+              const std::int64_t ix = ox * node.attrs.stride_w - pad_w + fx;
+              if (ix < 0 || ix >= is.dim(2)) continue;
+              sum += x[((n * is.dim(1) + iy) * is.dim(2) + ix) * ch + c];
+              ++count;
+            }
+          }
+          // Rounded division toward nearest.
+          std::int32_t q = count > 0
+                               ? (sum >= 0 ? (sum + count / 2) / count
+                                           : (sum - count / 2) / count)
+                               : 0;
+          y[((n * os.dim(1) + oy) * os.dim(2) + ox) * ch + c] = clamp_to_i8(q);
+        }
+      }
+    }
+  }
+}
+
+struct AvgPoolI8Case {
+  Padding padding;
+  int stride;
+  int filter;  // 0 = global (the whole 7x7 input)
+  std::int64_t channels;
+  std::int64_t batch;
+
+  friend std::ostream& operator<<(std::ostream& os, const AvgPoolI8Case& c) {
+    return os << (c.padding == Padding::kSame ? "Same" : "Valid") << "/s"
+              << c.stride << "/f" << c.filter << "/ch" << c.channels << "/b"
+              << c.batch;
+  }
+};
+
+std::vector<AvgPoolI8Case> avgpool_i8_grid() {
+  std::vector<AvgPoolI8Case> grid;
+  for (Padding padding : {Padding::kSame, Padding::kValid}) {
+    for (int stride : {1, 2}) {
+      for (int filter : {2, 3, 0}) {
+        for (std::int64_t ch : {1, 3, 5, 8, 17, 64}) {
+          for (std::int64_t batch : {1, 4}) {
+            grid.push_back({padding, stride, filter, ch, batch});
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+Tensor run_i8_kernel(const KernelFn& kernel, const Node& node,
+                     const Tensor& input) {
+  Tensor out = Tensor::i8(node.output_shape);
+  out.quant() = node.output_quant;
+  ScratchArena arena;
+  KernelContext ctx;
+  ctx.node = &node;
+  ctx.inputs = {&input};
+  ctx.output = &out;
+  ctx.arena = &arena;
+  kernel(ctx);
+  return out;
+}
+
+class AvgPoolI8Grid : public ::testing::TestWithParam<AvgPoolI8Case> {};
+
+TEST_P(AvgPoolI8Grid, OptBitExactVsScalarLoopAndWithinQuantumOfRef) {
+  const AvgPoolI8Case& c = GetParam();
+  constexpr int kSpatial = 7;
+  const Shape in_shape{c.batch, kSpatial, kSpatial, c.channels};
+  Pcg32 rng(3);
+  GraphBuilder b("qpool", &rng);
+  const int x = b.input(in_shape);
+  const int op = b.avg_pool(x, c.filter == 0 ? kSpatial : c.filter, c.stride,
+                            c.padding, "op");
+  const Graph g = b.finish({op});
+  Node node = g.node(op);
+  // The quantizer gives a pool the same scale and zero point on both sides;
+  // draw them at random per case.
+  Pcg32 qrng(static_cast<std::uint64_t>(c.channels * 31 + c.batch * 7 +
+                                        c.stride * 3 + c.filter));
+  const auto zp = static_cast<std::int32_t>(qrng.uniform(-128.0f, 127.0f));
+  const QuantParams q = QuantParams::per_tensor(qrng.uniform(0.01f, 0.2f), zp);
+  node.output_dtype = DType::kI8;
+  node.output_quant = q;
+  Tensor input = Tensor::i8(in_shape);
+  input.quant() = q;
+  std::int8_t* p = input.data<std::int8_t>();
+  for (std::int64_t i = 0; i < input.num_elements(); ++i) {
+    p[i] = static_cast<std::int8_t>(qrng.uniform(-128.0f, 127.99f));
+  }
+
+  BuiltinOpResolver opt;
+  RefOpResolver ref;
+  const Tensor got = run_i8_kernel(opt.find(node).invoke, node, input);
+  const Tensor want = run_i8_kernel(legacy_avgpool_i8_opt, node, input);
+  std::ostringstream label;
+  label << c << "/zp" << zp;
+  EXPECT_EQ(std::memcmp(got.raw_data(), want.raw_data(), got.byte_size()), 0)
+      << label.str() << ": differs from the scalar loop";
+  const Tensor correct = run_i8_kernel(ref.find(node).invoke, node, input);
+  const std::int8_t* g8 = got.data<std::int8_t>();
+  const std::int8_t* c8 = correct.data<std::int8_t>();
+  for (std::int64_t i = 0; i < got.num_elements(); ++i) {
+    ASSERT_LE(std::abs(g8[i] - c8[i]), 1) << label.str() << " at " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PaddingStrideFilterChannelsBatch, AvgPoolI8Grid,
+                         ::testing::ValuesIn(avgpool_i8_grid()));
 
 TEST(QuantKernels, QuantizeDequantizeRoundTrip) {
   Pcg32 rng(51);
