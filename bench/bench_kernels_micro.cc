@@ -3,10 +3,9 @@
 // These quantify the per-op gap that the table aggregates per layer type.
 //
 // The BM_Gemm* group benches the GEMM core directly at the Table-4
-// equivalent shapes: prepacked panels vs per-call repack (f32) and the
-// widening SIMD dot-product microkernel vs the scalar register-blocked path
-// (int8) — the two plan-time-packing wins, isolated from interpreter
-// overhead.
+// equivalent shapes: prepacked panels vs packing B on every call (f32, what
+// plan-time packing saves) and the int8 widening SIMD dot-product
+// microkernel, isolated from interpreter overhead.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -17,6 +16,7 @@
 #include "src/kernels/elementwise.h"
 #include "src/kernels/fixed_point.h"
 #include "src/kernels/gemm.h"
+#include "src/kernels/kernel_tier.h"
 #include "src/quant/quantizer.h"
 
 namespace mlexray {
@@ -115,7 +115,7 @@ BENCHMARK(BM_DwConv_OptimizedInt8_S2)->Args({16, 32});
 BENCHMARK(BM_Fc_OptimizedInt8)->Args({16, 16});
 BENCHMARK(BM_Fc_ReferenceInt8)->Args({16, 16});
 
-// --- GEMM core: prepacked vs per-call paths at Table-4 shapes --------------
+// --- GEMM core: prepacked vs pack-every-call at Table-4 shapes -------------
 // Args are the GEMM problem (m, n, k): Conv2D 16x16x32 3x3 -> (256, 32,
 // 288), Conv2D 32x32x16 3x3 -> (1024, 16, 144), batch-1 FC 4096->16 ->
 // (1, 16, 4096). Single-threaded so the kernel difference is undiluted.
@@ -167,19 +167,23 @@ void BM_GemmF32_Prepacked(benchmark::State& state) {
   for (auto _ : state) {
     gemm_f32_nt(p.m, p.n, p.k, p.a_f32.data(), p.k, p.b_f32.data(), p.k,
                 p.bias_f32.data(), Activation::kNone, p.c_f32.data(), p.n,
-                nullptr, nullptr, &packed);
+                nullptr, packed);
     benchmark::DoNotOptimize(p.c_f32.data());
   }
 }
 
+// Packs B on every iteration: the cost a plan-less caller would pay per
+// call, which the prepare hooks pay once.
 void BM_GemmF32_RepackEachCall(benchmark::State& state) {
   GemmProblem p(state.range(0), state.range(1), state.range(2));
-  ScratchArena arena;
+  std::vector<float> panels(
+      static_cast<std::size_t>(packed_b_f32_floats(p.n, p.k)));
+  const PackedBF32 packed{panels.data(), p.n / kGemmNrF32};
   for (auto _ : state) {
-    arena.reset();
+    pack_b_f32(p.n, p.k, p.b_f32.data(), p.k, panels.data());
     gemm_f32_nt(p.m, p.n, p.k, p.a_f32.data(), p.k, p.b_f32.data(), p.k,
                 p.bias_f32.data(), Activation::kNone, p.c_f32.data(), p.n,
-                nullptr, &arena);
+                nullptr, packed);
     benchmark::DoNotOptimize(p.c_f32.data());
   }
 }
@@ -193,17 +197,7 @@ void BM_GemmI8_PackedVec(benchmark::State& state) {
   PackedBI8 packed{panels.data(), col_sums.data()};
   for (auto _ : state) {
     gemm_i8_nt(p.m, p.n, p.k, p.a_i8.data(), p.k, p.b_i8.data(), p.k, p.quant,
-               p.c_i8.data(), p.n, nullptr, &packed);
-    benchmark::DoNotOptimize(p.c_i8.data());
-  }
-}
-
-// The PR-1 int8 path: scalar register-blocked tiles over raw B rows.
-void BM_GemmI8_Scalar(benchmark::State& state) {
-  GemmProblem p(state.range(0), state.range(1), state.range(2));
-  for (auto _ : state) {
-    gemm_i8_nt(p.m, p.n, p.k, p.a_i8.data(), p.k, p.b_i8.data(), p.k, p.quant,
-               p.c_i8.data(), p.n, nullptr);
+               p.c_i8.data(), p.n, nullptr, packed);
     benchmark::DoNotOptimize(p.c_i8.data());
   }
 }
@@ -215,23 +209,22 @@ BENCHMARK(BM_GemmF32_RepackEachCall)->Args({256, 32, 288})->Args({1024, 16, 144}
 // (1, 1001, 1024) are the batch-1 FC matvec shapes served by the k-major
 // m==1 dispatch (raw B rows, one widened A chunk reused across columns).
 BENCHMARK(BM_GemmI8_PackedVec)->Args({256, 32, 288})->Args({1024, 16, 144})->Args({1, 16, 4096})->Args({256, 32, 32})->Args({1, 1001, 1024});
-BENCHMARK(BM_GemmI8_Scalar)->Args({256, 32, 288})->Args({1024, 16, 144})->Args({1, 16, 4096})->Args({256, 32, 32})->Args({1, 1001, 1024});
 
 // --- dwconv compute tiers at a Table-4 shape -------------------------------
 // Same int8 dwconv graph under each forced tier (src/kernels/dwconv.h):
 // quantifies the channel-vectorization win in isolation, and keeps a
 // regression guard on the tier dispatch itself.
 
-void run_dwconv_tier(benchmark::State& state, DwConvTier tier) {
-  set_dwconv_tier_for_testing(tier);
+void run_dwconv_tier(benchmark::State& state, KernelTier tier) {
+  set_kernel_tier_for_testing(tier);
   run_variant(state, OpType::kDepthwiseConv2D, /*reference=*/false,
               /*quantized=*/true);
-  set_dwconv_tier_for_testing(DwConvTier::kAuto);
+  set_kernel_tier_for_testing(KernelTier::kAuto);
 }
 
-void BM_DwConvI8_TierAuto(benchmark::State& s) { run_dwconv_tier(s, DwConvTier::kAuto); }
-void BM_DwConvI8_TierGeneric(benchmark::State& s) { run_dwconv_tier(s, DwConvTier::kGenericVector); }
-void BM_DwConvI8_TierScalar(benchmark::State& s) { run_dwconv_tier(s, DwConvTier::kScalar); }
+void BM_DwConvI8_TierAuto(benchmark::State& s) { run_dwconv_tier(s, KernelTier::kAuto); }
+void BM_DwConvI8_TierGeneric(benchmark::State& s) { run_dwconv_tier(s, KernelTier::kGenericVector); }
+void BM_DwConvI8_TierScalar(benchmark::State& s) { run_dwconv_tier(s, KernelTier::kScalar); }
 
 BENCHMARK(BM_DwConvI8_TierAuto)->Args({16, 64});
 BENCHMARK(BM_DwConvI8_TierGeneric)->Args({16, 64});
@@ -332,18 +325,18 @@ BENCHMARK(BM_ElemwiseHardSwishI8_Reference)->Args({16, 24});
 
 // Forced compute tiers on the widest SE pattern (broadcast Mul + Add):
 // regression guard on the tier dispatch and the vector-vs-scalar gap.
-void run_ew_tier(benchmark::State& state, EwBenchOp op, ElementwiseTier tier) {
-  set_elementwise_tier_for_testing(tier);
+void run_ew_tier(benchmark::State& state, EwBenchOp op, KernelTier tier) {
+  set_kernel_tier_for_testing(tier);
   run_ew_variant(state, op, /*reference=*/false);
-  set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
+  set_kernel_tier_for_testing(KernelTier::kAuto);
 }
 
-void BM_ElemwiseAddI8_TierAuto(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kAdd, ElementwiseTier::kAuto); }
-void BM_ElemwiseAddI8_TierGeneric(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kAdd, ElementwiseTier::kGenericVector); }
-void BM_ElemwiseAddI8_TierScalar(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kAdd, ElementwiseTier::kScalar); }
-void BM_ElemwiseMulGateI8_TierAuto(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kMulGate, ElementwiseTier::kAuto); }
-void BM_ElemwiseMulGateI8_TierGeneric(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kMulGate, ElementwiseTier::kGenericVector); }
-void BM_ElemwiseMulGateI8_TierScalar(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kMulGate, ElementwiseTier::kScalar); }
+void BM_ElemwiseAddI8_TierAuto(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kAdd, KernelTier::kAuto); }
+void BM_ElemwiseAddI8_TierGeneric(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kAdd, KernelTier::kGenericVector); }
+void BM_ElemwiseAddI8_TierScalar(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kAdd, KernelTier::kScalar); }
+void BM_ElemwiseMulGateI8_TierAuto(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kMulGate, KernelTier::kAuto); }
+void BM_ElemwiseMulGateI8_TierGeneric(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kMulGate, KernelTier::kGenericVector); }
+void BM_ElemwiseMulGateI8_TierScalar(benchmark::State& s) { run_ew_tier(s, EwBenchOp::kMulGate, KernelTier::kScalar); }
 
 BENCHMARK(BM_ElemwiseAddI8_TierAuto)->Args({16, 64});
 BENCHMARK(BM_ElemwiseAddI8_TierGeneric)->Args({16, 64});

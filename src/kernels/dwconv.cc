@@ -10,43 +10,16 @@
 
 #include "src/kernels/activation.h"
 #include "src/kernels/fixed_point.h"
+#include "src/kernels/kernel_tier.h"
 
 namespace mlexray {
 namespace {
 
 std::atomic<std::uint64_t> g_dw_pack_events{0};
-std::atomic<int> g_tier_override{0};  // DwConvTier
 
 // Stencil windows this large get the inline-bounds fallback instead of the
 // per-pixel tap-pointer table (nothing in the model zoo comes close).
 constexpr std::int64_t kMaxTaps = 64;
-
-enum class Tier { kAvx2, kGeneric, kScalar };
-
-Tier best_tier() {
-#if defined(__AVX2__)
-  return Tier::kAvx2;
-#elif defined(__GNUC__) || defined(__clang__)
-  return Tier::kGeneric;
-#else
-  return Tier::kScalar;
-#endif
-}
-
-Tier resolve_tier() {
-  switch (g_tier_override.load(std::memory_order_relaxed)) {
-    case static_cast<int>(DwConvTier::kScalar):
-      return Tier::kScalar;
-    case static_cast<int>(DwConvTier::kGenericVector):
-#if defined(__GNUC__) || defined(__clang__)
-      return Tier::kGeneric;
-#else
-      return Tier::kScalar;
-#endif
-    default:
-      return best_tier();
-  }
-}
 
 // Per-pixel table of tap source pointers (channel 0 of the input pixel each
 // filter tap reads); nullptr marks an out-of-bounds tap.
@@ -340,22 +313,9 @@ std::uint64_t dwconv_pack_events() {
   return g_dw_pack_events.load(std::memory_order_relaxed);
 }
 
-void set_dwconv_tier_for_testing(DwConvTier tier) {
-  g_tier_override.store(static_cast<int>(tier), std::memory_order_relaxed);
-}
-
-const char* dwconv_best_tier_name() {
-  switch (best_tier()) {
-    case Tier::kAvx2: return "avx2";
-    case Tier::kGeneric: return "generic-vector";
-    case Tier::kScalar: return "scalar";
-  }
-  return "scalar";
-}
-
 void dwconv2d_i8(const DwConvShape& s, const std::int8_t* x,
                  const PackedDwI8& p, std::int8_t* y, PoolRef pool) {
-  const Tier tier = resolve_tier();
+  const KernelTier tier = active_kernel_tier();
   const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
   const std::int64_t rows = s.batch * s.out_h;
   auto body = [&](std::size_t lo, std::size_t hi) {
@@ -371,12 +331,12 @@ void dwconv2d_i8(const DwConvShape& s, const std::int8_t* x,
           continue;
         }
         build_tap_src(s, x, n, oy, ox, tap_src);
-        if (s.depth_mult != 1 || tier == Tier::kScalar) {
+        if (s.depth_mult != 1 || tier == KernelTier::kScalar) {
           pixel_i8_scalar(s, p, tap_src, yp);
           continue;
         }
 #if defined(__AVX2__)
-        if (tier == Tier::kAvx2) {
+        if (tier == KernelTier::kAvx2) {
           pixel_i8_avx2(s, p, tap_src, yp);
         } else {
           pixel_i8_generic(s, p, tap_src, yp);
@@ -399,7 +359,7 @@ void dwconv2d_i8(const DwConvShape& s, const std::int8_t* x,
 
 void dwconv2d_f32(const DwConvShape& s, const float* x, const PackedDwF32& p,
                   Activation act, float* y, PoolRef pool) {
-  const Tier tier = resolve_tier();
+  const KernelTier tier = active_kernel_tier();
   const std::int64_t taps = static_cast<std::int64_t>(s.kh) * s.kw;
   const std::int64_t rows = s.batch * s.out_h;
   auto body = [&](std::size_t lo, std::size_t hi) {
@@ -414,7 +374,7 @@ void dwconv2d_f32(const DwConvShape& s, const float* x, const PackedDwF32& p,
           continue;
         }
         build_tap_src(s, x, n, oy, ox, tap_src);
-        if (s.depth_mult != 1 || tier == Tier::kScalar) {
+        if (s.depth_mult != 1 || tier == KernelTier::kScalar) {
           pixel_f32_scalar(s, p, act, tap_src, yp);
           continue;
         }

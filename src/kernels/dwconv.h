@@ -13,8 +13,7 @@
 //
 //  - f32: nothing to build — the [1, kh, kw, ch] filter already *is* the
 //    tap-major panel layout the vector loop streams, so the packed view
-//    points straight at the node's weights (no copy, on the plan and
-//    no-plan paths alike).
+//    points straight at the node's weights (no copy, no prepare hook).
 //  - int8: the filter widened to int16 (the widening multiply's weight
 //    operand then loads directly, no per-iteration sign extension), plus a
 //    per-channel fused accumulator bias
@@ -25,17 +24,17 @@
 //    accumulation exactly), plus the per-channel Q31 requant tables and the
 //    fused activation clamp range.
 //
-// `dwconv_pack_events()` counts every pack/table build (prepare-time and
-// per-call fallback alike), mirroring `gemm_b_pack_events()`: the
-// conformance tests snapshot it after plan construction and assert
-// steady-state invoke never packs again.
+// `dwconv_pack_events()` counts every weight pack, mirroring
+// `gemm_b_pack_events()`: the conformance tests snapshot it after plan
+// construction and assert steady-state invoke never packs again.
 //
 // Integer accumulation is exact and order-free, so every tier (AVX2,
 // generic GNU-vector, scalar) produces bit-identical int8 output; the f32
 // tiers keep the reference kernels' per-channel accumulation order
 // (bias-first, taps in (fy, fx) order) so float output is bit-identical
-// too. `set_dwconv_tier_for_testing()` forces a lower tier so the
-// conformance grid can assert that equivalence instead of assuming it.
+// too. `set_kernel_tier_for_testing()` (kernel_tier.h) forces a lower tier
+// so the conformance grid can assert that equivalence instead of assuming
+// it.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +62,8 @@ struct DwConvShape {
   std::int64_t depth_mult = 1;
 };
 
-// Packed views (plain pointers into PreparedStorage, scratch, or — for f32,
-// whose source layout is already panel-shaped — the node's own weights).
+// Packed views (plain pointers into PreparedStorage or — for f32, whose
+// source layout is already panel-shaped — the node's own weights).
 struct PackedDwF32 {
   const float* weights = nullptr;  // [kh*kw][out_ch] tap-major
   const float* bias = nullptr;     // [out_ch]
@@ -88,20 +87,10 @@ void pack_dw_weights_i8(std::int64_t taps, std::int64_t ch,
                         const std::int8_t* w, std::int16_t* out,
                         std::int32_t* w_sums);
 
-// Monotonic count of dwconv weight packs / table builds (prepare-time and
-// per-call fallback). Plan-prepared kernels make this stand still across
-// invokes; the conformance grid asserts it.
+// Monotonic count of dwconv weight packs (one per int8 prepare). Invokes
+// never pack, so this stands still across them; the conformance grid
+// asserts it.
 std::uint64_t dwconv_pack_events();
-
-// Test hook: force the compute tier for subsequent invocations so the
-// conformance grid can assert cross-tier bit-exactness. kAuto restores the
-// best compiled-in tier. Tiers below the best available degrade gracefully
-// (kAvx2 without AVX2 runs the generic tier, etc.).
-enum class DwConvTier { kAuto = 0, kGenericVector = 1, kScalar = 2 };
-void set_dwconv_tier_for_testing(DwConvTier tier);
-// Name of the tier that kAuto resolves to on this build ("avx2",
-// "generic-vector", or "scalar"); surfaced by benches.
-const char* dwconv_best_tier_name();
 
 // y[n, oy, ox, c] = act(bias[c] + sum_taps x[tap, c / dm] * w[tap, c]),
 // accumulation per channel in reference order. Rows are partitioned across

@@ -14,47 +14,20 @@
 #include "src/kernels/activation.h"
 #include "src/kernels/fixed_point.h"
 #include "src/kernels/kernel.h"
+#include "src/kernels/kernel_tier.h"
 
 namespace mlexray {
 namespace {
 
 std::atomic<std::uint64_t> g_ew_pack_events{0};
-std::atomic<int> g_tier_override{0};  // ElementwiseTier
-
-enum class Tier { kAvx2, kGeneric, kScalar };
-
-Tier best_tier() {
-#if defined(__AVX2__)
-  return Tier::kAvx2;
-#elif defined(__GNUC__) || defined(__clang__)
-  return Tier::kGeneric;
-#else
-  return Tier::kScalar;
-#endif
-}
-
-Tier resolve_tier() {
-  switch (g_tier_override.load(std::memory_order_relaxed)) {
-    case static_cast<int>(ElementwiseTier::kScalar):
-      return Tier::kScalar;
-    case static_cast<int>(ElementwiseTier::kGenericVector):
-#if defined(__GNUC__) || defined(__clang__)
-      return Tier::kGeneric;
-#else
-      return Tier::kScalar;
-#endif
-    default:
-      return best_tier();
-  }
-}
 
 void note_pack_event() {
   g_ew_pack_events.fetch_add(1, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
-// Packed Q31 parameter blocks (PODs living in PreparedStorage, or copied to
-// the stack on the no-plan fallback path — never heap-allocated at invoke).
+// Packed Q31 parameter blocks (PODs living in PreparedStorage, copied to the
+// stack at invoke — never heap-allocated there).
 // ---------------------------------------------------------------------------
 
 // Add/Sub rescale both operands onto a common grid 2^kAddLeftShift finer
@@ -92,7 +65,7 @@ struct PackedEwLutI8 {
 };
 
 // ---------------------------------------------------------------------------
-// Plan-time builders (also the per-call fallback when ctx.prepared == null).
+// Prepare-time builders.
 // Every build bumps elementwise_pack_events().
 // ---------------------------------------------------------------------------
 
@@ -169,12 +142,6 @@ void ew_prepare(const KernelContext& ctx) {
   auto* root = ctx.prepared->allocate_array<Packed>(1);
   *root = kBuild(ctx);
   ctx.prepared->set_root(root);
-}
-
-template <typename Packed, Packed (*kBuild)(const KernelContext&)>
-Packed packed_of(const KernelContext& ctx) {
-  if (ctx.prepared != nullptr) return *ctx.prepared->root<Packed>();
-  return kBuild(ctx);  // no plan (e.g. bare-context invoke): build per call
 }
 
 // ---------------------------------------------------------------------------
@@ -265,14 +232,14 @@ void add_span_vec(const PackedEwAddI8& p, const std::int8_t* a,
 }
 #endif
 
-AddSpanFn select_add_span(Tier tier) {
+AddSpanFn select_add_span(KernelTier tier) {
   switch (tier) {
 #if defined(__AVX2__)
-    case Tier::kAvx2:
+    case KernelTier::kAvx2:
       return add_span_vec<load_widen_avx2>;
 #endif
 #if defined(__GNUC__) || defined(__clang__)
-    case Tier::kGeneric:
+    case KernelTier::kGenericVector:
       return add_span_vec<load_widen_generic>;
 #endif
     default:
@@ -281,15 +248,14 @@ AddSpanFn select_add_span(Tier tier) {
 }
 
 void addsub_i8_opt(const KernelContext& ctx) {
-  const PackedEwAddI8 p =
-      packed_of<PackedEwAddI8, build_packed_add_i8>(ctx);
+  const PackedEwAddI8 p = ctx.prepared_root<PackedEwAddI8>();
   const Tensor& a = ctx.input(0);
   const Tensor& b = ctx.input(1);
   const std::int8_t* pa = a.data<std::int8_t>();
   const std::int8_t* pb = b.data<std::int8_t>();
   std::int8_t* y = ctx.output->data<std::int8_t>();
-  const AddSpanFn span =
-      select_add_span(p.out_shift > 0 ? Tier::kScalar : resolve_tier());
+  const AddSpanFn span = select_add_span(
+      p.out_shift > 0 ? KernelTier::kScalar : active_kernel_tier());
   if (p.broadcast_b == 0) {
     span(p, pa, pb, y, ctx.output->num_elements());
     return;
@@ -346,14 +312,14 @@ void mul_span_vec(const PackedEwMulI8& p, const std::int8_t* a,
 }
 #endif
 
-MulSpanFn select_mul_span(Tier tier) {
+MulSpanFn select_mul_span(KernelTier tier) {
   switch (tier) {
 #if defined(__AVX2__)
-    case Tier::kAvx2:
+    case KernelTier::kAvx2:
       return mul_span_vec<load_widen_avx2>;
 #endif
 #if defined(__GNUC__) || defined(__clang__)
-    case Tier::kGeneric:
+    case KernelTier::kGenericVector:
       return mul_span_vec<load_widen_generic>;
 #endif
     default:
@@ -362,14 +328,14 @@ MulSpanFn select_mul_span(Tier tier) {
 }
 
 void mul_i8_opt(const KernelContext& ctx) {
-  const PackedEwMulI8 p = packed_of<PackedEwMulI8, build_packed_mul_i8>(ctx);
+  const PackedEwMulI8 p = ctx.prepared_root<PackedEwMulI8>();
   const Tensor& a = ctx.input(0);
   const Tensor& b = ctx.input(1);
   const std::int8_t* pa = a.data<std::int8_t>();
   const std::int8_t* pb = b.data<std::int8_t>();
   std::int8_t* y = ctx.output->data<std::int8_t>();
-  const MulSpanFn span =
-      select_mul_span(p.shift > 0 ? Tier::kScalar : resolve_tier());
+  const MulSpanFn span = select_mul_span(
+      p.shift > 0 ? KernelTier::kScalar : active_kernel_tier());
   if (p.broadcast_b == 0) {
     span(p, pa, pb, y, ctx.output->num_elements());
     return;
@@ -445,14 +411,14 @@ void mean_vec(const PackedEwMeanI8& p, const std::int8_t* x, std::int64_t hw,
 }
 #endif
 
-MeanFn select_mean(Tier tier) {
+MeanFn select_mean(KernelTier tier) {
   switch (tier) {
 #if defined(__AVX2__)
-    case Tier::kAvx2:
+    case KernelTier::kAvx2:
       return mean_vec<load_widen_avx2>;
 #endif
 #if defined(__GNUC__) || defined(__clang__)
-    case Tier::kGeneric:
+    case KernelTier::kGenericVector:
       return mean_vec<load_widen_generic>;
 #endif
     default:
@@ -461,15 +427,15 @@ MeanFn select_mean(Tier tier) {
 }
 
 void mean_i8_opt(const KernelContext& ctx) {
-  const PackedEwMeanI8 p =
-      packed_of<PackedEwMeanI8, build_packed_mean_i8>(ctx);
+  const PackedEwMeanI8 p = ctx.prepared_root<PackedEwMeanI8>();
   const Tensor& in = ctx.input(0);
   const Shape& is = in.shape();
   const std::int64_t hw = is.dim(1) * is.dim(2);
   const std::int64_t ch = is.dim(3);
   const std::int8_t* x = in.data<std::int8_t>();
   std::int8_t* y = ctx.output->data<std::int8_t>();
-  const MeanFn mean = select_mean(p.shift > 0 ? Tier::kScalar : resolve_tier());
+  const MeanFn mean =
+      select_mean(p.shift > 0 ? KernelTier::kScalar : active_kernel_tier());
   for (std::int64_t n = 0; n < is.dim(0); ++n) {
     mean(p, x + n * hw * ch, hw, ch, y + n * ch);
   }
@@ -485,32 +451,21 @@ void mean_i8_opt(const KernelContext& ctx) {
 // ---------------------------------------------------------------------------
 
 template <float (*Fn)(float)>
-const std::int8_t* build_lut_into(const KernelContext& ctx,
-                                  std::int8_t* dst) {
+void ew_lut_prepare(const KernelContext& ctx) {
   const auto table =
       build_i8_lut(ctx.input(0).quant(), ctx.output->quant(), Fn);
-  std::memcpy(dst, table.data(), table.size());
-  note_pack_event();
-  return dst;
-}
-
-template <float (*Fn)(float)>
-void ew_lut_prepare(const KernelContext& ctx) {
   auto* root = ctx.prepared->allocate_array<PackedEwLutI8>(1);
-  auto* table = ctx.prepared->allocate_array<std::int8_t>(256);
-  root->table = build_lut_into<Fn>(ctx, table);
+  auto* dst = ctx.prepared->allocate_array<std::int8_t>(table.size());
+  std::memcpy(dst, table.data(), table.size());
+  root->table = dst;
+  note_pack_event();
   ctx.prepared->set_root(root);
 }
 
 template <float (*Fn)(float)>
 void ew_lut_i8_opt(const KernelContext& ctx) {
   const Tensor& in = ctx.input(0);
-  const std::int8_t* table;
-  if (ctx.prepared != nullptr) {
-    table = ctx.prepared->root<PackedEwLutI8>()->table;
-  } else {
-    table = build_lut_into<Fn>(ctx, ctx.scratch<std::int8_t>(256));
-  }
+  const std::int8_t* table = ctx.prepared_root<PackedEwLutI8>().table;
   const std::int8_t* src = in.data<std::int8_t>();
   std::int8_t* dst = ctx.output->data<std::int8_t>();
   const std::int64_t n = in.num_elements();
@@ -520,19 +475,6 @@ void ew_lut_i8_opt(const KernelContext& ctx) {
 }
 
 }  // namespace
-
-void set_elementwise_tier_for_testing(ElementwiseTier tier) {
-  g_tier_override.store(static_cast<int>(tier), std::memory_order_relaxed);
-}
-
-const char* elementwise_best_tier_name() {
-  switch (best_tier()) {
-    case Tier::kAvx2: return "avx2";
-    case Tier::kGeneric: return "generic-vector";
-    case Tier::kScalar: return "scalar";
-  }
-  return "scalar";
-}
 
 std::uint64_t elementwise_pack_events() {
   return g_ew_pack_events.load(std::memory_order_relaxed);

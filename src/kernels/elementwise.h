@@ -25,10 +25,10 @@
 //    under adversarial scale choices) take a scalar positive-shift path on
 //    every tier, keeping the cross-tier contract.
 //
-// `elementwise_pack_events()` counts every Q31 table / LUT build (prepare-time
-// and per-call fallback alike), mirroring `dwconv_pack_events()`: the grid
-// snapshots it after plan construction and asserts steady-state invoke never
-// builds again.
+// `elementwise_pack_events()` counts every Q31 table / LUT build, mirroring
+// `dwconv_pack_events()`: the grid snapshots it after plan construction and
+// asserts steady-state invoke never builds again. The forced-tier knob is
+// set_kernel_tier_for_testing() (kernel_tier.h).
 #pragma once
 
 #include <cstdint>
@@ -37,19 +37,9 @@
 
 namespace mlexray {
 
-// Test hook: force the compute tier for subsequent invocations so the
-// conformance grid can assert cross-tier bit-exactness. kAuto restores the
-// best compiled-in tier; tiers below the best available degrade gracefully.
-enum class ElementwiseTier { kAuto = 0, kGenericVector = 1, kScalar = 2 };
-void set_elementwise_tier_for_testing(ElementwiseTier tier);
-
-// Name of the tier kAuto resolves to on this build ("avx2",
-// "generic-vector", or "scalar"); surfaced by benches.
-const char* elementwise_best_tier_name();
-
-// Monotonic count of elementwise Q31-table / activation-LUT builds
-// (prepare-time and per-call fallback). Plan-prepared kernels make this
-// stand still across invokes; the conformance grid asserts it.
+// Monotonic count of elementwise Q31-table / activation-LUT builds (one
+// per prepare). Invokes never build, so this stands still across them; the
+// conformance grid asserts it.
 std::uint64_t elementwise_pack_events();
 
 // Registers the optimized int8 kernels (Add/Sub/Mul/Mean + the LUT

@@ -9,8 +9,8 @@
 // pre-wired, arena attached) and reused verbatim on every invoke. Kernel
 // temporaries come from ctx.scratch<T>(): arena-backed, valid until the node
 // finishes, heap-free in steady state. One-time results (packed weight
-// panels, requantization tables) go into ctx.prepared, the plan-owned
-// storage a kernel's optional prepare hook fills at plan construction.
+// panels, requantization tables) go into ctx.prepared, which a kernel's
+// optional prepare hook fills before the kernel is ever invoked.
 #pragma once
 
 #include <functional>
@@ -28,14 +28,26 @@ struct KernelContext {
   Tensor* output = nullptr;           // allocated by the interpreter
   PoolRef pool;                       // null => single-threaded execution
   ScratchArena* arena = nullptr;      // per-interpreter scratch storage
-  // Plan-owned storage filled once by the kernel's prepare hook; null when
-  // the kernel runs outside a plan (e.g. the trainer's forward pass), in
-  // which case invoke falls back to per-call scratch work.
+  // Storage the kernel's prepare hook filled before this invoke: plan-owned
+  // for interpreter sessions, a per-forward local for the trainer. Kernels
+  // with a prepare hook read it through prepared_root() and have no
+  // plan-less path; kernels without one leave it null.
   PreparedStorage* prepared = nullptr;
 
   const Tensor& input(std::size_t i) const {
     MLX_CHECK_LT(i, inputs.size());
     return *inputs[i];
+  }
+
+  // The descriptor this node's prepare hook stored. Throws, naming the
+  // node, when the caller invoked without running prepare first.
+  template <typename T>
+  const T& prepared_root() const {
+    const T* root = prepared != nullptr ? prepared->root<T>() : nullptr;
+    MLX_CHECK(root != nullptr)
+        << "kernel for node '" << (node != nullptr ? node->name : "?")
+        << "' invoked without running its prepare hook";
+    return *root;
   }
 
   // Arena-backed scratch, reset between nodes. Call only from the kernel's
@@ -57,10 +69,11 @@ struct KernelContext {
 using KernelFn = std::function<void(const KernelContext&)>;
 
 // A registered kernel: the per-invoke entry point plus an optional prepare
-// hook the ExecutionPlan runs exactly once at construction. Prepare hooks
-// see the same wired context as invoke (shapes, weights, quant params are
-// final by then; activation *data* is not) and stash their results in
-// ctx.prepared.
+// hook that every caller runs before invoke — the ExecutionPlan once at
+// construction, the trainer before each forward (its weights change between
+// forwards). Prepare hooks see the same wired context as invoke (shapes,
+// weights, quant params are final by then; activation *data* is not) and
+// stash their results in ctx.prepared.
 struct KernelEntry {
   KernelFn invoke;
   KernelFn prepare;  // empty for kernels with no one-time work

@@ -121,9 +121,17 @@ void Trainer::forward(const std::vector<Tensor>& inputs) {
     arena_.reset();
     ctx.arena = &arena_;
     for (int in : n.inputs) ctx.inputs.push_back(&acts_[static_cast<std::size_t>(in)]);
-    // No plan here, so ctx.prepared stays null: kernels take their per-call
-    // fallback paths (arena repacking, scratch requant tables).
-    resolver_.find(n).invoke(ctx);
+    // Same prepare-then-invoke as a deployed plan, so a layer computes here
+    // exactly as it does when served. Prepare runs on every forward because
+    // the weights change between forwards (optimizer steps, and gradient
+    // checks that edit them in place).
+    const KernelEntry& entry = resolver_.find(n);
+    PreparedStorage prepared;
+    if (entry.prepare) {
+      ctx.prepared = &prepared;
+      entry.prepare(ctx);
+    }
+    entry.invoke(ctx);
   }
 }
 

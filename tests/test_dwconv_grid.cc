@@ -33,6 +33,7 @@
 #include "src/graph/builder.h"
 #include "src/interpreter/interpreter.h"
 #include "src/kernels/dwconv.h"
+#include "src/kernels/kernel_tier.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
@@ -156,7 +157,7 @@ std::vector<DwGridCase> make_grid() {
 class DwConvGrid : public ::testing::TestWithParam<DwGridCase> {
  protected:
   void TearDown() override {
-    set_dwconv_tier_for_testing(DwConvTier::kAuto);
+    set_kernel_tier_for_testing(KernelTier::kAuto);
   }
 };
 
@@ -165,9 +166,9 @@ class DwConvGrid : public ::testing::TestWithParam<DwGridCase> {
 void expect_all_tiers_bit_equal(Interpreter& interp,
                                 const std::vector<float>& want,
                                 const DwGridCase& c) {
-  for (DwConvTier tier :
-       {DwConvTier::kGenericVector, DwConvTier::kScalar}) {
-    set_dwconv_tier_for_testing(tier);
+  for (KernelTier tier :
+       {KernelTier::kGenericVector, KernelTier::kScalar}) {
+    set_kernel_tier_for_testing(tier);
     interp.invoke();
     const Tensor& out = interp.output(0);
     ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
@@ -176,7 +177,7 @@ void expect_all_tiers_bit_equal(Interpreter& interp,
               0)
         << c << " diverges under tier " << static_cast<int>(tier);
   }
-  set_dwconv_tier_for_testing(DwConvTier::kAuto);
+  set_kernel_tier_for_testing(KernelTier::kAuto);
 }
 
 // Steady-state contract: invoke never touches the heap, never registers
@@ -269,14 +270,14 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
 INSTANTIATE_TEST_SUITE_P(StridePadDepthChannelsBatchDtype, DwConvGrid,
                          ::testing::ValuesIn(make_grid()));
 
-// --- no-plan fallback --------------------------------------------------------
+// --- plan-less callers -------------------------------------------------------
 
-// Without a plan (ctx.prepared == nullptr, e.g. the trainer's forward pass)
-// the int8 kernel builds its panels and tables in per-call scratch: results
-// must be identical, and dwconv_pack_events() must tick once per invoke —
-// proof the counter actually observes the fallback the plan is eliminating.
-// (f32 has no fallback cost: its filter is used in place on both paths.)
-TEST(DwConvFallback, PacksPerCallWithoutPlanAndMatchesPlanned) {
+// A caller without a plan (the trainer's forward pass) runs the int8
+// kernel's prepare hook into its own PreparedStorage before invoking: the
+// output must match the planned run bit for bit, and dwconv_pack_events()
+// must tick once per prepare, never per invoke. (f32 has no prepare hook:
+// its filter is used in place.)
+TEST(DwConvPlanless, PrepareThenInvokeMatchesPlannedAndPacksOncePerPrepare) {
   Pcg32 rng(11);
   GraphBuilder b("dwfall", &rng);
   const Shape in_shape{1, 8, 8, 16};
@@ -294,9 +295,8 @@ TEST(DwConvFallback, PacksPerCallWithoutPlanAndMatchesPlanned) {
   planned.set_input(0, input);
   planned.invoke();
 
-  // Drive the same int8 kernel through a bare KernelContext (no prepared
-  // storage), as a plan-less caller would, feeding it the planned run's
-  // quantized activation.
+  // Drive the same int8 kernel through a bare KernelContext, as a plan-less
+  // caller would, feeding it the planned run's quantized activation.
   const Node* dw = nullptr;
   for (const Node& n : qm.nodes) {
     if (n.type == OpType::kDepthwiseConv2D) dw = &n;
@@ -306,18 +306,23 @@ TEST(DwConvFallback, PacksPerCallWithoutPlanAndMatchesPlanned) {
   Tensor out(DType::kI8, dw->output_shape);
   out.quant() = dw->output_quant;
   ScratchArena arena;
+  PreparedStorage prepared;
   KernelContext ctx;
   ctx.node = dw;
   ctx.inputs.push_back(&quantized_in);
   ctx.output = &out;
   ctx.arena = &arena;
+  ctx.prepared = &prepared;
   const KernelEntry& entry = opt.find(*dw);
+  ASSERT_TRUE(static_cast<bool>(entry.prepare));
   const std::uint64_t packs_before = dwconv_pack_events();
+  entry.prepare(ctx);
+  EXPECT_EQ(dwconv_pack_events(), packs_before + 1);
   entry.invoke(ctx);
   arena.reset();
   entry.invoke(ctx);
-  EXPECT_EQ(dwconv_pack_events(), packs_before + 2)
-      << "per-call fallback must pack on every invoke";
+  EXPECT_EQ(dwconv_pack_events(), packs_before + 1)
+      << "invoke packed after prepare";
   const Tensor& want = planned.node_output(dw->id);
   ASSERT_EQ(want.num_elements(), out.num_elements());
   EXPECT_EQ(std::memcmp(want.raw_data(), out.raw_data(),

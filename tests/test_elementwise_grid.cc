@@ -31,6 +31,7 @@
 #include "src/graph/builder.h"
 #include "src/interpreter/interpreter.h"
 #include "src/kernels/elementwise.h"
+#include "src/kernels/kernel_tier.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/alloc_stats.h"
 #include "src/tensor/tensor_stats.h"
@@ -204,7 +205,7 @@ std::vector<EwGridCase> make_grid() {
 class ElementwiseGrid : public ::testing::TestWithParam<EwGridCase> {
  protected:
   void TearDown() override {
-    set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
+    set_kernel_tier_for_testing(KernelTier::kAuto);
   }
 };
 
@@ -213,9 +214,9 @@ class ElementwiseGrid : public ::testing::TestWithParam<EwGridCase> {
 void expect_all_tiers_bit_equal(Interpreter& interp,
                                 const std::vector<float>& want,
                                 const EwGridCase& c) {
-  for (ElementwiseTier tier :
-       {ElementwiseTier::kGenericVector, ElementwiseTier::kScalar}) {
-    set_elementwise_tier_for_testing(tier);
+  for (KernelTier tier :
+       {KernelTier::kGenericVector, KernelTier::kScalar}) {
+    set_kernel_tier_for_testing(tier);
     interp.invoke();
     const Tensor& out = interp.output(0);
     ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
@@ -224,7 +225,7 @@ void expect_all_tiers_bit_equal(Interpreter& interp,
               0)
         << c << " diverges under tier " << static_cast<int>(tier);
   }
-  set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
+  set_kernel_tier_for_testing(KernelTier::kAuto);
 }
 
 // Steady-state contract: invoke never touches the heap, never registers
@@ -366,7 +367,7 @@ INSTANTIATE_TEST_SUITE_P(OpChannelsBatchActRanges, ElementwiseGrid,
 class ElementwiseAdversarial : public ::testing::Test {
  protected:
   void TearDown() override {
-    set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
+    set_kernel_tier_for_testing(KernelTier::kAuto);
   }
 };
 
@@ -421,14 +422,14 @@ TEST_F(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
   }
 }
 
-// --- no-plan fallback --------------------------------------------------------
+// --- plan-less callers -------------------------------------------------------
 
-// Without a plan (ctx.prepared == nullptr, e.g. the trainer's forward pass)
-// the int8 kernels build their Q31 tables / LUTs in per-call scratch:
-// results must be identical, and elementwise_pack_events() must tick once
-// per invoke — proof the counter actually observes the fallback the plan is
-// eliminating.
-TEST(ElementwiseFallback, PacksPerCallWithoutPlanAndMatchesPlanned) {
+// A caller without a plan (the trainer's forward pass) runs each int8
+// kernel's prepare hook into its own PreparedStorage before invoking: the
+// output must match the planned run bit for bit, and
+// elementwise_pack_events() must tick once per prepare, never per invoke.
+TEST(ElementwisePlanless,
+     PrepareThenInvokeMatchesPlannedAndBuildsOncePerPrepare) {
   Pcg32 rng(31);
   GraphBuilder b("ewfall", &rng);
   const Shape in_shape{1, 6, 6, 16};
@@ -452,9 +453,8 @@ TEST(ElementwiseFallback, PacksPerCallWithoutPlanAndMatchesPlanned) {
   planned.set_input(1, gate);
   planned.invoke();
 
-  // Drive the same int8 kernels through bare KernelContexts (no prepared
-  // storage), as a plan-less caller would, feeding them the planned run's
-  // quantized activations.
+  // Drive the same int8 kernels through bare KernelContexts, as a plan-less
+  // caller would, feeding them the planned run's quantized activations.
   for (OpType type : {OpType::kAdd, OpType::kSigmoid}) {
     const Node* node = nullptr;
     for (const Node& n : qm.nodes) {
@@ -464,6 +464,7 @@ TEST(ElementwiseFallback, PacksPerCallWithoutPlanAndMatchesPlanned) {
     Tensor out(DType::kI8, node->output_shape);
     out.quant() = node->output_quant;
     ScratchArena arena;
+    PreparedStorage prepared;
     KernelContext ctx;
     ctx.node = node;
     for (int in : node->inputs) {
@@ -471,14 +472,18 @@ TEST(ElementwiseFallback, PacksPerCallWithoutPlanAndMatchesPlanned) {
     }
     ctx.output = &out;
     ctx.arena = &arena;
+    ctx.prepared = &prepared;
     const KernelEntry& entry = opt.find(*node);
+    ASSERT_TRUE(static_cast<bool>(entry.prepare)) << op_type_name(type);
     const std::uint64_t packs_before = elementwise_pack_events();
+    entry.prepare(ctx);
+    EXPECT_EQ(elementwise_pack_events(), packs_before + 1)
+        << op_type_name(type);
     entry.invoke(ctx);
     arena.reset();
     entry.invoke(ctx);
-    EXPECT_EQ(elementwise_pack_events(), packs_before + 2)
-        << op_type_name(type)
-        << ": per-call fallback must rebuild on every invoke";
+    EXPECT_EQ(elementwise_pack_events(), packs_before + 1)
+        << op_type_name(type) << ": invoke rebuilt after prepare";
     const Tensor& want = planned.node_output(node->id);
     ASSERT_EQ(want.num_elements(), out.num_elements());
     EXPECT_EQ(std::memcmp(want.raw_data(), out.raw_data(),

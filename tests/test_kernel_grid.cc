@@ -17,6 +17,8 @@
 // std::vector churn inside kernels).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -214,15 +216,13 @@ TEST_P(KernelGrid, OptMatchesRef) {
 INSTANTIATE_TEST_SUITE_P(PaddingStrideActDtype, KernelGrid,
                          ::testing::ValuesIn(make_grid()));
 
-// --- prepacked GEMM vs per-call paths ----------------------------------------
+// --- prepacked int8 GEMM vs an exact integer GEMM ---------------------------
 
-// Shapes exercise full panels plus a column edge: n = 20 is two f32 panels
-// (8) + 4 edge columns, and for int8 one full 16-column panel plus 4
-// padded columns in the second; odd k = 37 exercises the int8 pair
-// microkernel's zero-padded tail.
+// Shapes exercise full panels plus a column edge: n = 20 is one full
+// 16-column panel plus 4 padded columns in the second; odd k = 37 exercises
+// the pair microkernel's zero-padded tail.
 struct GemmData {
   std::int64_t m, n, k;
-  std::vector<float> a, b, bias;
   std::vector<std::int8_t> a8, b8;
   std::vector<std::int32_t> bias32, multipliers;
   std::vector<int> shifts;
@@ -232,14 +232,8 @@ struct GemmData {
            std::uint64_t seed)
       : m(m_in), n(n_in), k(k_in) {
     Pcg32 rng(seed);
-    a.resize(static_cast<std::size_t>(m * k));
-    b.resize(static_cast<std::size_t>(n * k));
-    bias.resize(static_cast<std::size_t>(n));
-    for (float& v : a) v = rng.uniform(-1, 1);
-    for (float& v : b) v = rng.uniform(-1, 1);
-    for (float& v : bias) v = rng.uniform(-1, 1);
-    a8.resize(a.size());
-    b8.resize(b.size());
+    a8.resize(static_cast<std::size_t>(m * k));
+    b8.resize(static_cast<std::size_t>(n * k));
     for (auto& v : a8) {
       v = static_cast<std::int8_t>(static_cast<int>(rng.next_below(255)) - 127);
     }
@@ -261,93 +255,67 @@ struct GemmData {
     quant.out_zero_point = -3;
   }
 
-  std::vector<float> run_f32(bool prepacked) const {
-    std::vector<float> c(static_cast<std::size_t>(m * n));
-    if (prepacked) {
-      std::vector<float> panels(
-          static_cast<std::size_t>(packed_b_f32_floats(n, k)));
-      pack_b_f32(n, k, b.data(), k, panels.data());
-      PackedBF32 packed{panels.data(), n / kGemmNrF32};
-      gemm_f32_nt(m, n, k, a.data(), k, b.data(), k, bias.data(),
-                  Activation::kNone, c.data(), n, nullptr, nullptr, &packed);
-    } else {
-      ScratchArena arena;
-      gemm_f32_nt(m, n, k, a.data(), k, b.data(), k, bias.data(),
-                  Activation::kNone, c.data(), n, nullptr, &arena);
-    }
+  std::vector<std::int8_t> run_i8() const {
+    std::vector<std::int8_t> c(static_cast<std::size_t>(m * n));
+    std::vector<std::int8_t> panels(
+        static_cast<std::size_t>(packed_b_i8_bytes(n, k)));
+    std::vector<std::int32_t> col_sums(static_cast<std::size_t>(n));
+    pack_b_i8(n, k, b8.data(), k, panels.data(), col_sums.data());
+    const PackedBI8 packed{panels.data(), col_sums.data()};
+    gemm_i8_nt(m, n, k, a8.data(), k, b8.data(), k, quant, c.data(), n,
+               nullptr, packed);
     return c;
   }
 
-  std::vector<std::int8_t> run_i8(bool prepacked) const {
+  // The definition: exact int32 dot products with the zero point
+  // subtracted per element, then the same per-column Q31 requantization.
+  std::vector<std::int8_t> exact_i8() const {
     std::vector<std::int8_t> c(static_cast<std::size_t>(m * n));
-    if (prepacked) {
-      std::vector<std::int8_t> panels(
-          static_cast<std::size_t>(packed_b_i8_bytes(n, k)));
-      std::vector<std::int32_t> col_sums(static_cast<std::size_t>(n));
-      pack_b_i8(n, k, b8.data(), k, panels.data(), col_sums.data());
-      PackedBI8 packed{panels.data(), col_sums.data()};
-      gemm_i8_nt(m, n, k, a8.data(), k, b8.data(), k, quant, c.data(), n,
-                 nullptr, &packed);
-    } else {
-      gemm_i8_nt(m, n, k, a8.data(), k, b8.data(), k, quant, c.data(), n,
-                 nullptr);
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        const auto col = static_cast<std::size_t>(j);
+        std::int32_t acc = bias32[col];
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          acc += (a8[static_cast<std::size_t>(i * k + kk)] -
+                  quant.a_zero_point) *
+                 b8[static_cast<std::size_t>(j * k + kk)];
+        }
+        const std::int32_t v =
+            multiply_by_quantized_multiplier(acc, multipliers[col],
+                                             shifts[col]) +
+            quant.out_zero_point;
+        c[static_cast<std::size_t>(i * n + j)] = static_cast<std::int8_t>(
+            std::clamp(v, quant.act_min, quant.act_max));
+      }
     }
     return c;
   }
 };
 
-std::int64_t max_ulp_diff_span(const std::vector<float>& x,
-                               const std::vector<float>& y) {
-  EXPECT_EQ(x.size(), y.size());
-  std::int64_t worst = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    worst = std::max(worst,
-                     std::abs(float_lex_bits(x[i]) - float_lex_bits(y[i])));
-  }
-  return worst;
-}
-
-// f32: the prepacked view and the per-call arena repack feed the same panel
-// layout through the same tiles, so results are bit-identical.
-TEST(PrepackedGemm, F32PrepackedMatchesRepackBitExact) {
-  GemmData d(16, 20, 37, 901);
-  const std::vector<float> repacked = d.run_f32(/*prepacked=*/false);
-  const std::vector<float> prepacked = d.run_f32(/*prepacked=*/true);
-  ASSERT_EQ(repacked.size(), prepacked.size());
-  EXPECT_EQ(std::memcmp(repacked.data(), prepacked.data(),
-                        repacked.size() * sizeof(float)),
-            0);
-}
-
-// int8: the SIMD dot-product microkernel with epilogue zero-point correction
-// must reproduce the scalar per-element-corrected path exactly (integer
-// accumulation is order-free and exact).
-TEST(PrepackedGemm, I8PrepackedMatchesScalarExact) {
+// The pair microkernel with its epilogue zero-point correction (m > 1) must
+// reproduce the exact integer GEMM bit for bit: integer accumulation is
+// order-free and exact.
+TEST(PrepackedGemm, I8PrepackedMatchesExact) {
   for (auto [m, n, k] : {std::array<std::int64_t, 3>{16, 20, 37},
                          std::array<std::int64_t, 3>{7, 9, 64},
                          std::array<std::int64_t, 3>{5, 4, 3}}) {
     GemmData d(m, n, k, 700 + static_cast<std::uint64_t>(m));
-    EXPECT_EQ(d.run_i8(false), d.run_i8(true)) << m << "x" << n << "x" << k;
+    EXPECT_EQ(d.run_i8(), d.exact_i8()) << m << "x" << n << "x" << k;
   }
 }
 
-// m == 1 (batch-1 fully-connected matvec): the prepacked path now routes
-// through the packed tiles where the per-call path uses the scalar-chain
-// matvec kernel — same bias-first k-ascending order per output, so only
-// FMA-contraction rounding may differ. int8 stays exact.
+// m == 1 (batch-1 fully-connected matvec) takes the k-major matvec kernel
+// instead of the panel microkernel; it too must be exact.
 TEST(PrepackedGemm, MatvecM1EdgeCase) {
   GemmData d(1, 24, 129, 903);
-  EXPECT_LE(max_ulp_diff_span(d.run_f32(false), d.run_f32(true)), 4);
-  EXPECT_EQ(d.run_i8(false), d.run_i8(true));
+  EXPECT_EQ(d.run_i8(), d.exact_i8());
 }
 
-// m == 1 int8: the prepacked call dispatches to the k-major matvec kernel
-// (raw B rows, SIMD widened-multiply accumulation) instead of the
-// pair-interleaved panel microkernel. Integer accumulation is exact in any
-// order and the col_sums zero-point epilogue is shared, so the matvec must
-// match the scalar unpacked path bit-for-bit across column-chunk remainders
+// m == 1 int8: the k-major matvec kernel (raw B rows, SIMD widened-multiply
+// accumulation) shares the col_sums zero-point epilogue with the panel path,
+// and must match the exact GEMM bit-for-bit across column-chunk remainders
 // (n % 4, n % 64) and k remainders (SIMD chunk tails, odd k).
-TEST(PrepackedGemm, MatvecM1Int8KMajorMatchesScalarExact) {
+TEST(PrepackedGemm, MatvecM1Int8KMajorMatchesExact) {
   for (auto [n, k] : {std::array<std::int64_t, 2>{1, 1},
                       std::array<std::int64_t, 2>{3, 33},
                       std::array<std::int64_t, 2>{7, 64},
@@ -356,7 +324,7 @@ TEST(PrepackedGemm, MatvecM1Int8KMajorMatchesScalarExact) {
                       std::array<std::int64_t, 2>{65, 128},
                       std::array<std::int64_t, 2>{1001, 1024}}) {
     GemmData d(1, n, k, 950 + static_cast<std::uint64_t>(n));
-    EXPECT_EQ(d.run_i8(false), d.run_i8(true)) << "1x" << n << "x" << k;
+    EXPECT_EQ(d.run_i8(), d.exact_i8()) << "1x" << n << "x" << k;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/graph/builder.h"
@@ -293,6 +294,68 @@ TEST(QuantKernels, QuantizedConvTracksFloat) {
   EXPECT_LT(normalized_rmse(qi_opt.output(0), fi.output(0)), 0.05);
   // Reference and optimized integer paths agree within 1 quantum.
   EXPECT_LT(normalized_rmse(qi_opt.output(0), qi_ref.output(0)), 0.02);
+}
+
+// A kernel with a prepare hook has no plan-less path: invoked through a
+// bare KernelContext (no prepared storage) it throws an MlxError naming the
+// node instead of dereferencing null, and it runs once prepare has filled a
+// storage.
+TEST(QuantKernels, PrepareHookedKernelsRefuseBareContext) {
+  Pcg32 rng(25);
+  GraphBuilder b("bare", &rng);
+  const Shape in_shape{1, 6, 6, 8};
+  int x = b.input(in_shape);
+  int c = b.conv2d(x, 8, 3, 3, 1, Padding::kSame, Activation::kRelu, "conv");
+  int d = b.depthwise_conv2d(c, 3, 3, 1, Padding::kSame, Activation::kNone,
+                             "dw");
+  int a = b.add(c, d, Activation::kNone, "add");
+  int f = b.fully_connected(a, 10, Activation::kNone, "fc");
+  Graph m = b.finish({f});
+  Calibrator calib(&m);
+  Pcg32 drng(26);
+  for (int i = 0; i < 4; ++i) calib.observe({random_input(in_shape, drng)});
+  Graph qm = quantize_model(m, calib);
+
+  BuiltinOpResolver opt;
+  int checked = 0;
+  for (const Node& n : qm.nodes) {
+    if (n.output_dtype != DType::kI8 ||
+        (n.type != OpType::kConv2D && n.type != OpType::kDepthwiseConv2D &&
+         n.type != OpType::kFullyConnected && n.type != OpType::kAdd)) {
+      continue;
+    }
+    std::vector<Tensor> inputs;
+    for (int in : n.inputs) {
+      const Node& producer = qm.node(in);
+      inputs.emplace_back(producer.output_dtype, producer.output_shape);
+      inputs.back().quant() = producer.output_quant;
+    }
+    Tensor out(n.output_dtype, n.output_shape);
+    out.quant() = n.output_quant;
+    ScratchArena arena;
+    KernelContext ctx;
+    ctx.node = &n;
+    for (const Tensor& t : inputs) ctx.inputs.push_back(&t);
+    ctx.output = &out;
+    ctx.arena = &arena;
+    const KernelEntry& entry = opt.find(n);
+    ASSERT_TRUE(static_cast<bool>(entry.prepare)) << n.name;
+    try {
+      entry.invoke(ctx);
+      ADD_FAILURE() << n.name << ": invoke without prepare did not throw";
+    } catch (const MlxError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + n.name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    PreparedStorage prepared;
+    ctx.prepared = &prepared;
+    entry.prepare(ctx);
+    arena.reset();
+    EXPECT_NO_THROW(entry.invoke(ctx)) << n.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 4);
 }
 
 TEST(QuantKernels, DwConvBugEmulationWrecksOutput) {

@@ -19,6 +19,7 @@
 #include "src/kernels/dwconv.h"
 #include "src/kernels/elementwise.h"
 #include "src/kernels/fixed_point.h"
+#include "src/kernels/kernel_tier.h"
 #include "src/models/zoo.h"
 #include "src/preprocess/image.h"
 #include "src/quant/quantizer.h"
@@ -46,7 +47,7 @@ Tensor random_f32(Shape shape, Pcg32& rng, float lo = -1, float hi = 1) {
 class DwConvRandom : public ::testing::TestWithParam<int> {
  protected:
   void TearDown() override {
-    set_dwconv_tier_for_testing(DwConvTier::kAuto);
+    set_kernel_tier_for_testing(KernelTier::kAuto);
   }
 };
 
@@ -84,9 +85,9 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
     oi.invoke();
     const float* p = oi.output(0).data<float>();
     std::vector<float> want(p, p + oi.output(0).num_elements());
-    for (DwConvTier tier :
-         {DwConvTier::kGenericVector, DwConvTier::kScalar}) {
-      set_dwconv_tier_for_testing(tier);
+    for (KernelTier tier :
+         {KernelTier::kGenericVector, KernelTier::kScalar}) {
+      set_kernel_tier_for_testing(tier);
       oi.invoke();
       EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), want.data(),
                             want.size() * sizeof(float)),
@@ -94,7 +95,7 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
           << "tier " << static_cast<int>(tier) << " diverged (seed "
           << GetParam() << ")";
     }
-    set_dwconv_tier_for_testing(DwConvTier::kAuto);
+    set_kernel_tier_for_testing(KernelTier::kAuto);
   };
 
   {  // float: bit-exact against the reference kernel, all tiers.
@@ -148,7 +149,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DwConvRandom, ::testing::Range(1, 17));
 class ElementwiseRandom : public ::testing::TestWithParam<int> {
  protected:
   void TearDown() override {
-    set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
+    set_kernel_tier_for_testing(KernelTier::kAuto);
   }
 };
 
@@ -224,9 +225,9 @@ TEST_P(ElementwiseRandom, AllTiersMatchReference) {
   oi.invoke();
   const float* p = oi.output(0).data<float>();
   std::vector<float> want(p, p + oi.output(0).num_elements());
-  for (ElementwiseTier tier :
-       {ElementwiseTier::kGenericVector, ElementwiseTier::kScalar}) {
-    set_elementwise_tier_for_testing(tier);
+  for (KernelTier tier :
+       {KernelTier::kGenericVector, KernelTier::kScalar}) {
+    set_kernel_tier_for_testing(tier);
     oi.invoke();
     EXPECT_EQ(std::memcmp(oi.output(0).raw_data(), want.data(),
                           want.size() * sizeof(float)),
@@ -234,7 +235,7 @@ TEST_P(ElementwiseRandom, AllTiersMatchReference) {
         << "tier " << static_cast<int>(tier) << " diverged (seed "
         << GetParam() << ", op " << op << ")";
   }
-  set_elementwise_tier_for_testing(ElementwiseTier::kAuto);
+  set_kernel_tier_for_testing(KernelTier::kAuto);
   EXPECT_LE(linf_error(ri.output(0), oi.output(0)), 1.001f * quantum)
       << "int8 opt drifted past one quantum (seed " << GetParam() << ", op "
       << op << ")";

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "src/graph/builder.h"
+#include "src/interpreter/interpreter.h"
 #include "src/train/train_loop.h"
 #include "src/train/trainer.h"
 
@@ -243,6 +246,67 @@ TEST(Trainer, CopyWeightsTransfersValues) {
   EXPECT_EQ(0, std::memcmp(a.node(1).weights[0].raw_data(),
                            c.node(1).weights[0].raw_data(),
                            a.node(1).weights[0].byte_size()));
+}
+
+// --- trainer vs deployed plan ------------------------------------------------
+
+// Every activation of `trainer`'s last forward, bit-compared with a fresh
+// planned Interpreter over the same graph and resolver.
+void expect_forward_matches_plan(Trainer& trainer, Graph& graph,
+                                 const OpResolver& resolver,
+                                 const Tensor& input) {
+  trainer.forward({input});
+  Interpreter planned(&graph, &resolver);
+  planned.set_input(0, input);
+  planned.invoke();
+  for (const Node& n : graph.nodes) {
+    const Tensor& want = planned.node_output(n.id);
+    const Tensor& got = trainer.activation(n.id);
+    ASSERT_EQ(got.byte_size(), want.byte_size()) << n.name;
+    EXPECT_EQ(std::memcmp(got.raw_data(), want.raw_data(), got.byte_size()),
+              0)
+        << n.name << " differs between Trainer::forward and the plan";
+  }
+}
+
+// The trainer runs each kernel's prepare hook before invoking it, so its
+// forward computes every layer exactly as the deployed plan does. The FCs
+// cover both f32 GEMM column layouts: "fc_wide" (n = 12) is one packed
+// panel plus 4 edge columns, "logits" (n = 5) is edge columns only.
+TEST(TrainerForward, BitIdenticalToPlannedInterpreter) {
+  for (std::int64_t batch : {1, 4}) {
+    Pcg32 rng(41);
+    GraphBuilder b("parity", &rng);
+    const Shape in_shape{batch, 6, 6, 3};
+    int x = b.input(in_shape);
+    const int conv =
+        b.conv2d(x, 8, 3, 3, 1, Padding::kSame, Activation::kNone, "c1");
+    int c = b.relu(conv, "r1");
+    c = b.depthwise_conv2d(c, 3, 3, 2, Padding::kSame, Activation::kNone,
+                           "dw");
+    c = b.relu(c, "r2");
+    int f = b.fully_connected(c, 12, Activation::kNone, "fc_wide");
+    f = b.relu(f, "r3");
+    const int logits = b.fully_connected(f, 5, Activation::kNone, "logits");
+    Graph m = b.finish({logits});
+    BuiltinOpResolver resolver;
+    Trainer trainer(&m, TrainConfig{});
+    Pcg32 drng(42);
+    const Tensor input = random_input(in_shape, drng);
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    expect_forward_matches_plan(trainer, m, resolver, input);
+
+    // Edit a packed conv weight in place, as gradient checks do: the next
+    // forward sees it only by preparing again.
+    const Tensor before = trainer.activation(conv);
+    m.node(conv).weights[0].data<float>()[0] += 0.5f;
+    expect_forward_matches_plan(trainer, m, resolver, input);
+    EXPECT_NE(std::memcmp(before.raw_data(),
+                          trainer.activation(conv).raw_data(),
+                          before.byte_size()),
+              0)
+        << "forward did not pick up the edited weight";
+  }
 }
 
 TEST(Losses, SoftmaxXentRowsIgnoresNegativeLabels) {
