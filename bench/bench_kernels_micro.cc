@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/dwconv.h"
 #include "src/kernels/elementwise.h"
 #include "src/kernels/fixed_point.h"
@@ -73,11 +73,12 @@ void run_variant(benchmark::State& state, OpType type, bool reference,
   BuiltinOpResolver opt;
   const OpResolver& resolver = reference ? static_cast<const OpResolver&>(ref)
                                          : static_cast<const OpResolver&>(opt);
-  Interpreter interp(&bench_model, &resolver, reference ? 1 : 2);
-  interp.set_input(0, random_input(size, ch, 2));
+  Model model(&bench_model, &resolver, reference ? 1 : 2);
+  Session session(&model);
+  session.set_input(0, random_input(size, ch, 2));
   for (auto _ : state) {
-    interp.invoke();
-    benchmark::DoNotOptimize(interp.output(0).raw_data());
+    session.invoke();
+    benchmark::DoNotOptimize(session.output(0).raw_data());
   }
 }
 
@@ -289,12 +290,13 @@ void run_ew_variant(benchmark::State& state, EwBenchOp op, bool reference) {
   BuiltinOpResolver opt;
   const OpResolver& resolver = reference ? static_cast<const OpResolver&>(ref)
                                          : static_cast<const OpResolver&>(opt);
-  Interpreter interp(&qm, &resolver);
-  interp.set_input(0, random_shaped(Shape{1, size, size, ch}, 2));
-  if (binary) interp.set_input(1, random_shaped(gate_shape, 3));
+  Model model(&qm, &resolver);
+  Session session(&model);
+  session.set_input(0, random_shaped(Shape{1, size, size, ch}, 2));
+  if (binary) session.set_input(1, random_shaped(gate_shape, 3));
   for (auto _ : state) {
-    interp.invoke();
-    benchmark::DoNotOptimize(interp.output(0).raw_data());
+    session.invoke();
+    benchmark::DoNotOptimize(session.output(0).raw_data());
   }
 }
 
@@ -380,12 +382,13 @@ void run_f32_ew(benchmark::State& state, F32EwBenchOp op) {
   }
   Graph m = b.finish({binary ? 2 : 1});
   BuiltinOpResolver opt;
-  Interpreter interp(&m, &opt);
-  interp.set_input(0, random_shaped(in_shape, 2));
-  if (binary) interp.set_input(1, random_shaped(b_shape, 3));
+  Model model(&m, &opt);
+  Session session(&model);
+  session.set_input(0, random_shaped(in_shape, 2));
+  if (binary) session.set_input(1, random_shaped(b_shape, 3));
   for (auto _ : state) {
-    interp.invoke();
-    benchmark::DoNotOptimize(interp.output(0).raw_data());
+    session.invoke();
+    benchmark::DoNotOptimize(session.output(0).raw_data());
   }
   state.SetItemsProcessed(state.iterations() * in_shape.num_elements());
 }
@@ -416,11 +419,12 @@ void BM_AvgPoolI8_Global(benchmark::State& state) {
   }
   Graph qm = quantize_model(m, calib);
   BuiltinOpResolver opt;
-  Interpreter interp(&qm, &opt);
-  interp.set_input(0, random_shaped(in_shape, 2));
+  Model model(&qm, &opt);
+  Session session(&model);
+  session.set_input(0, random_shaped(in_shape, 2));
   for (auto _ : state) {
-    interp.invoke();
-    benchmark::DoNotOptimize(interp.output(0).raw_data());
+    session.invoke();
+    benchmark::DoNotOptimize(session.output(0).raw_data());
   }
 }
 

@@ -8,7 +8,7 @@
 // times steady-state invoke() only. items_per_second counts images, so the
 // batch rows expose the batched-GEMM win directly. Counters surface the
 // memory side: plan-owned prepared storage and the scratch-arena high-water
-// mark from InterpreterStats.
+// mark from SessionStats.
 //
 // Run via bench/run_benches.sh, which records BENCH_models_e2e.json at the
 // repo root.
@@ -18,7 +18,7 @@
 #include <string>
 
 #include "src/convert/converter.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/models/detection.h"
 #include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
@@ -66,14 +66,15 @@ void run_e2e(benchmark::State& state, const E2ECase& c) {
   }
   const Graph& bench_model = c.quantized ? quantized : model;
   BuiltinOpResolver opt;
-  Interpreter interp(&bench_model, &opt, /*num_threads=*/2);
-  interp.set_input(0, random_model_input(bench_model, kSeed + 7));
-  interp.invoke();  // warmup: grows the scratch arena to its high-water mark
+  Model prepared(&bench_model, &opt, /*num_threads=*/2);
+  Session session(&prepared);
+  session.set_input(0, random_model_input(bench_model, kSeed + 7));
+  session.invoke();  // warmup: grows the scratch arena to its high-water mark
   for (auto _ : state) {
-    interp.invoke();
-    benchmark::DoNotOptimize(interp.output(0).raw_data());
+    session.invoke();
+    benchmark::DoNotOptimize(session.output(0).raw_data());
   }
-  const InterpreterStats& stats = interp.last_stats();
+  const SessionStats& stats = session.last_stats();
   state.SetItemsProcessed(state.iterations() * c.batch);
   state.counters["prepare_ms"] = stats.prepare_ms;
   state.counters["prepared_kb"] =
@@ -81,7 +82,7 @@ void run_e2e(benchmark::State& state, const E2ECase& c) {
   state.counters["arena_hw_kb"] =
       static_cast<double>(stats.arena_high_water_bytes) / 1024.0;
   state.counters["activation_kb"] =
-      static_cast<double>(interp.activation_bytes()) / 1024.0;
+      static_cast<double>(session.activation_bytes()) / 1024.0;
 }
 
 void register_cases() {

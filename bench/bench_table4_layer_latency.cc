@@ -31,16 +31,17 @@ std::map<std::string, double> measure_by_group(const Graph& model,
                                                const OpResolver& resolver,
                                                const Tensor& input,
                                                int num_threads) {
-  Interpreter interp(&model, &resolver, num_threads);
-  interp.set_input(0, input);
-  interp.invoke();  // warm-up
+  Model prepared(&model, &resolver, num_threads);
+  Session session(&prepared);
+  session.set_input(0, input);
+  session.invoke();  // warm-up
   std::map<std::string, double> totals;
   for (int i = 0; i < kInvokes; ++i) {
-    interp.invoke();
+    session.invoke();
     for (const Node& n : model.nodes) {
       if (n.type == OpType::kInput) continue;
       totals[op_latency_group(n.type)] +=
-          interp.last_stats().per_node_ms[static_cast<std::size_t>(n.id)] /
+          session.last_stats().per_node_ms[static_cast<std::size_t>(n.id)] /
           kInvokes;
     }
   }
@@ -98,7 +99,7 @@ int run_model(const char* checkpoint, const char* title) {
     if (is_elementwise_type(n.type)) ++elementwise_nodes;
   }
   const std::uint64_t probe = elementwise_pack_events();
-  { Interpreter check(&quant, &opt); }
+  { Model check(&quant, &opt); }
   const int prepared =
       static_cast<int>(elementwise_pack_events() - probe);
 

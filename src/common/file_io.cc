@@ -89,6 +89,9 @@ std::string BinaryReader::read_string() {
 
 void BinaryReader::read_bytes(void* out, std::size_t size) {
   require(size);
+  // A zero-element tensor hands in a null destination; memcpy's arguments
+  // must be valid pointers even for a zero length.
+  if (size == 0) return;
   std::memcpy(out, bytes_.data() + cursor_, size);
   cursor_ += size;
 }

@@ -41,17 +41,13 @@ void EdgeMLMonitor::unobserve(Session& session) {
 void EdgeMLMonitor::on_inf_start() { inf_start_ = Clock::now(); }
 
 void EdgeMLMonitor::on_inf_stop(const Session& session) {
-  // Legacy pull path for call sites that bracket invoke without observe():
-  // replay the retained node outputs through the push capture storage.
-  if (!buffer_.bound_to(session) || !buffer_.captured_invoke()) {
-    // capture_pull rebinds the buffer's layer layout to `session`; if it
-    // is still attached as another session's observer, that session's
-    // next invoke would trip the layout checks mid-flight. Detach first —
-    // the monitor now follows the session it was handed, as the pull-era
-    // API always did.
-    if (observed_ != nullptr && observed_ != &session) detach();
-    buffer_.capture_pull(session);
-  }
+  // Capture happens only by push, during invoke: a session this monitor does
+  // not observe (never observed, or its observer slot since taken by another
+  // monitor) left nothing in the frame to finalize.
+  MLX_CHECK(observed_ == &session && session.observer() == &buffer_ &&
+            buffer_.captured_invoke())
+      << "on_inf_stop: the monitor did not capture this session's invoke; "
+         "call observe(session) before invoking it";
   // The façade's bracket includes observer capture cost, matching what the
   // instrumented app experiences; it overwrites the invoke-only total the
   // buffer recorded.

@@ -17,11 +17,13 @@
 // invoke into pre-sized storage — no post-hoc model walk, no steady-state
 // heap allocation. Monitors are per-session: many sessions serving one
 // shared Model attach one monitor each, while the weights and prepared
-// packing stay shared. Interpreter overloads keep the pre-Model/Session
-// call sites compiling; they delegate to the interpreter's session. Call
-// sites that skip observe() still work: on_inf_stop detects that no push
-// capture happened and pulls the retained node outputs through the same
-// storage.
+// packing stay shared.
+//
+// Contract: observe() is the only way a monitor captures. on_inf_stop(session)
+// stamps latency and peak memory onto the invoke its buffer captured, and
+// throws MlxError when there is none: the session was never observed,
+// another monitor has since taken its observer slot, or nothing was invoked
+// since the last frame.
 //
 // Lifetime: an observed session and its monitor are linked. Destroy the
 // monitor first (it detaches itself), or detach explicitly with unobserve()
@@ -40,7 +42,7 @@
 #include <filesystem>
 
 #include "src/core/trace_buffer.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 
 namespace mlexray {
 
@@ -56,19 +58,14 @@ class EdgeMLMonitor {
   // InvokeObserver (push-based capture) and pre-sizes capture storage for
   // its model. Re-attaching to a different session detaches the first.
   void observe(Session& session);
-  void observe(Interpreter& interpreter) { observe(interpreter.session()); }
   // Detaches if `session` is the one being observed; call before the
   // session is destroyed if it dies before the monitor.
   void unobserve(Session& session);
-  void unobserve(Interpreter& interpreter) {
-    unobserve(interpreter.session());
-  }
 
   void on_inf_start();
+  // Stamps the invoke latency and peak memory on the frame; throws unless
+  // this monitor observed `session` and captured its invoke (see above).
   void on_inf_stop(const Session& session);
-  void on_inf_stop(const Interpreter& interpreter) {
-    on_inf_stop(interpreter.session());
-  }
   void on_sensor_start();
   void on_sensor_stop();
 

@@ -45,7 +45,6 @@
 
 namespace mlexray {
 
-class Interpreter;
 class Session;
 
 // Capture configuration (the paper's instrumentation modes). Lives here so
@@ -82,13 +81,10 @@ class TraceBuffer : public InvokeObserver {
   // --- binding --------------------------------------------------------------
   // One-time prepare for a session: records the per-layer layout (names,
   // dtypes, shapes, quant params — shared across frames, not stored per
-  // frame), interns a key per model output, and pre-sizes every capture
-  // frame to the model's byte sizes. Rebinding to a different session
-  // rebuilds the layout. The Interpreter overload binds its session.
+  // frame; read off the plan steps' nodes), interns a key per model output,
+  // and pre-sizes every capture frame to the model's byte sizes. Rebinding
+  // to a different session rebuilds the layout.
   void bind(const Session& session);
-  void bind(const Interpreter& interpreter);
-  bool bound_to(const Session& session) const { return bound_ == &session; }
-  bool bound_to(const Interpreter& interpreter) const;
 
   // --- keys -----------------------------------------------------------------
   // Returns the stable id for a key, interning it on first sight (the only
@@ -110,12 +106,6 @@ class TraceBuffer : public InvokeObserver {
   void on_step(const Node& node, const Tensor& output,
                double latency_ms) override;
   void on_invoke_end(const SessionStats& stats) override;
-
-  // Pull-style capture for call sites that bracket invoke manually without
-  // attaching the buffer as observer: replays the retained node outputs and
-  // last_stats latencies through the same on_step path (binds on demand).
-  void capture_pull(const Session& session);
-  void capture_pull(const Interpreter& interpreter);
 
   // True if the current frame captured an invoke since the last next_frame().
   bool captured_invoke() const { return frames_[active_].has_invoke; }

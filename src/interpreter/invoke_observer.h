@@ -1,13 +1,14 @@
 // Push-based observability hooks for the Invoke phase of a Session.
 //
-// ML-EXray's per-layer instrumentation used to *pull* data after invoke: walk
-// the model, deep-copy every retained activation, O(model size) heap churn
-// per frame. An InvokeObserver instead rides along the prepared-step walk:
-// the session fires on_step as each node finishes, handing the observer a
-// view of the retained output tensor and the step's wall clock. The observer
-// decides what (if anything) to copy — TraceBuffer (src/core/trace_buffer.h)
+// An InvokeObserver rides along the prepared-step walk: the session fires
+// on_step as each node finishes, handing the observer a view of the output
+// tensor while it is live and the step's wall clock. The observer decides
+// what (if anything) to copy — TraceBuffer (src/core/trace_buffer.h)
 // captures into pre-sized storage so a steady-state instrumented invoke stays
-// heap-free, preserving the paper's <0.4% overhead budget (Table 2).
+// heap-free, preserving the paper's <0.4% overhead budget (Table 2), and the
+// Calibrator (src/quant/calibration.h) folds each output into its ranges.
+// Per-layer capture has no other path; the Engine canary (engine.cc) is the
+// one library reader of activations after an invoke.
 //
 // Contract: hooks run on the invoke thread, between kernel executions. They
 // must not call back into the session's mutating API, must not retain the

@@ -7,43 +7,55 @@
 
 namespace mlexray {
 
+namespace {
+// kMovingAverage weight of the running extreme against each new sample.
+constexpr float kEmaMomentum = 0.9f;
+}  // namespace
+
 Calibrator::Calibrator(const Graph* model, CalibrationOptions options)
-    : model_(model), options_(options), interp_(model, &resolver_) {
-  const std::size_t n = model_->nodes.size();
+    : options_(options), model_(model, &resolver_), session_(&model_) {
+  const std::size_t n = model->nodes.size();
   sample_mins_.resize(n);
   sample_maxs_.resize(n);
   ema_min_.assign(n, 0.0f);
   ema_max_.assign(n, 0.0f);
   global_min_.assign(n, 3.4e38f);
   global_max_.assign(n, -3.4e38f);
+  session_.set_observer(this);
 }
 
 void Calibrator::observe(const std::vector<Tensor>& inputs) {
+  const std::vector<int>& input_ids = model_.input_ids();
+  MLX_CHECK_EQ(inputs.size(), input_ids.size())
+      << "calibration sample needs one tensor per model input";
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    interp_.set_input(static_cast<int>(i), inputs[i]);
+    session_.set_input(static_cast<int>(i), inputs[i]);
+    record(input_ids[i], inputs[i]);
   }
-  interp_.invoke();
-  for (const Node& n : model_->nodes) {
-    const Tensor& out = n.type == OpType::kInput
-                            ? inputs[0]  // input node holds the raw input
-                            : interp_.node_output(n.id);
-    if (out.dtype() != DType::kF32 && n.type != OpType::kInput) continue;
-    TensorSummary s = summarize(out);
-    const auto id = static_cast<std::size_t>(n.id);
-    sample_mins_[id].push_back(s.min);
-    sample_maxs_[id].push_back(s.max);
-    global_min_[id] = std::min(global_min_[id], s.min);
-    global_max_[id] = std::max(global_max_[id], s.max);
-    if (samples_ == 0) {
-      ema_min_[id] = s.min;
-      ema_max_[id] = s.max;
-    } else {
-      const auto m = static_cast<float>(options_.ema_momentum);
-      ema_min_[id] = m * ema_min_[id] + (1.0f - m) * s.min;
-      ema_max_[id] = m * ema_max_[id] + (1.0f - m) * s.max;
-    }
-  }
+  session_.invoke();
   ++samples_;
+}
+
+void Calibrator::on_step(const Node& node, const Tensor& output,
+                         double latency_ms) {
+  (void)latency_ms;
+  if (output.dtype() == DType::kF32) record(node.id, output);
+}
+
+void Calibrator::record(int node_id, const Tensor& value) {
+  const TensorSummary s = summarize(value);
+  const auto id = static_cast<std::size_t>(node_id);
+  sample_mins_[id].push_back(s.min);
+  sample_maxs_[id].push_back(s.max);
+  global_min_[id] = std::min(global_min_[id], s.min);
+  global_max_[id] = std::max(global_max_[id], s.max);
+  if (samples_ == 0) {
+    ema_min_[id] = s.min;
+    ema_max_[id] = s.max;
+  } else {
+    ema_min_[id] = kEmaMomentum * ema_min_[id] + (1.0f - kEmaMomentum) * s.min;
+    ema_max_[id] = kEmaMomentum * ema_max_[id] + (1.0f - kEmaMomentum) * s.max;
+  }
 }
 
 Calibrator::Range Calibrator::range(int node_id) const {

@@ -3,30 +3,37 @@
 //
 // Implements the three strategies discussed in the paper's §2 scale-
 // calibration pitfalls: absolute min/max (outliers inflate the scale),
-// moving average of per-batch extremes, and percentile (clips outliers).
-// The quantization ablation bench sweeps these against each other.
+// moving average of per-batch extremes (momentum 0.9), and percentile
+// (clips outliers). The quantization ablation bench sweeps these against
+// each other.
+//
+// The calibrator runs the float model on reference kernels and records each
+// node's extremes as the session pushes the output through on_step, while
+// the activation is live; model input i is summarized from the sample that
+// observe() was handed for it.
 #pragma once
 
 #include <vector>
 
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/invoke_observer.h"
+#include "src/interpreter/session.h"
 
 namespace mlexray {
 
 struct CalibrationOptions {
   enum class Method { kMinMax, kMovingAverage, kPercentile };
   Method method = Method::kMinMax;
-  double percentile = 99.5;      // for kPercentile (per-sample extremes)
-  double ema_momentum = 0.9;     // for kMovingAverage
+  double percentile = 99.5;  // for kPercentile (per-sample extremes)
 };
 
-class Calibrator {
+class Calibrator : private InvokeObserver {
  public:
   // model must be a converted float inference model and outlive this object.
   Calibrator(const Graph* model, CalibrationOptions options = {});
 
-  // Runs one representative sample through the float model and records
-  // every node's output extremes.
+  // Runs one representative sample (one tensor per model input, in
+  // graph.input_ids() order) through the float model and records every
+  // node's output extremes.
   void observe(const std::vector<Tensor>& inputs);
 
   struct Range {
@@ -40,10 +47,15 @@ class Calibrator {
   int samples_seen() const { return samples_; }
 
  private:
-  const Graph* model_;
+  void on_step(const Node& node, const Tensor& output,
+               double latency_ms) override;
+  // Folds one sample's extremes of `value` into node_id's statistics.
+  void record(int node_id, const Tensor& value);
+
   CalibrationOptions options_;
   RefOpResolver resolver_;  // calibration uses reference float kernels
-  Interpreter interp_;
+  Model model_;
+  Session session_;  // must be declared after model_ (init order)
   // Per node: per-sample extremes (percentile), running EMA, global min/max.
   std::vector<std::vector<float>> sample_mins_;
   std::vector<std::vector<float>> sample_maxs_;

@@ -105,12 +105,13 @@ double evaluate_classifier(const Graph& model, const OpResolver& resolver,
                            const std::vector<LabeledExample>& examples,
                            int num_threads) {
   MLX_CHECK(!examples.empty());
-  Interpreter interp(&model, &resolver, num_threads);
+  Model prepared(&model, &resolver, num_threads);
+  Session session(&prepared);
   int correct = 0;
   for (const LabeledExample& ex : examples) {
-    interp.set_input(0, ex.input);
-    interp.invoke();
-    if (argmax(interp.output(0)) == ex.label) ++correct;
+    session.set_input(0, ex.input);
+    session.invoke();
+    if (argmax(session.output(0)) == ex.label) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(examples.size());
 }

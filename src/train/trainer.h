@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/train/losses.h"
 
 namespace mlexray {

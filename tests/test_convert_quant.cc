@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/convert/converter.h"
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
+#include "src/models/zoo.h"
 #include "src/quant/quantizer.h"
 #include "src/tensor/tensor_stats.h"
 
@@ -82,8 +84,10 @@ TEST(Converter, FoldedModelMatchesCheckpoint) {
   EXPECT_LT(converted.nodes.size(), ckpt.nodes.size());
 
   RefOpResolver ref;
-  Interpreter ci(&ckpt, &ref);
-  Interpreter vi(&converted, &ref);
+  Model ci_model(&ckpt, &ref);
+  Session ci(&ci_model);
+  Model vi_model(&converted, &ref);
+  Session vi(&vi_model);
   Pcg32 rng(2);
   for (int i = 0; i < 3; ++i) {
     Tensor input = random_input(Shape{1, 8, 8, 3}, rng);
@@ -105,8 +109,10 @@ TEST(Converter, PreActBatchNormBecomesDepthwise) {
   EXPECT_EQ(bn_count, 0);
 
   RefOpResolver ref;
-  Interpreter ci(&ckpt, &ref);
-  Interpreter vi(&converted, &ref);
+  Model ci_model(&ckpt, &ref);
+  Session ci(&ci_model);
+  Model vi_model(&converted, &ref);
+  Session vi(&vi_model);
   Pcg32 rng(4);
   Tensor input = random_input(Shape{1, 8, 8, 4}, rng);
   ci.set_input(0, input);
@@ -145,8 +151,10 @@ TEST(Converter, SharedProducerNotFused) {
   }
   EXPECT_TRUE(has_standalone_relu);
   RefOpResolver ref;
-  Interpreter ci(&m, &ref);
-  Interpreter vi(&converted, &ref);
+  Model ci_model(&m, &ref);
+  Session ci(&ci_model);
+  Model vi_model(&converted, &ref);
+  Session vi(&vi_model);
   Tensor input = random_input(Shape{1, 4, 4, 2}, rng);
   ci.set_input(0, input);
   vi.set_input(0, input);
@@ -234,6 +242,134 @@ TEST(Calibrator, PercentileClipsOutliers) {
   EXPECT_FLOAT_EQ(calib2.range(0).max, 100.0f);  // min-max inflated
 }
 
+// Each model input is calibrated from its own samples, and the quantizer
+// builds each input's Quantize node from that input's range.
+TEST(Calibrator, EachInputGetsItsOwnRange) {
+  Pcg32 rng(19);
+  GraphBuilder b("two_in", &rng);
+  int a = b.input(Shape{1, 4}, DType::kF32, "a");
+  int c = b.input(Shape{1, 4}, DType::kF32, "c");
+  int sum = b.add(a, c, Activation::kNone, "sum");
+  Graph m = b.finish({sum});
+  Calibrator calib(&m);
+  calib.observe({Tensor::f32(Shape{1, 4}, {-1, 0.5f, 0, 1}),
+                 Tensor::f32(Shape{1, 4}, {-8, 2, 0, 8})});
+  EXPECT_FLOAT_EQ(calib.range(a).min, -1.0f);
+  EXPECT_FLOAT_EQ(calib.range(a).max, 1.0f);
+  EXPECT_FLOAT_EQ(calib.range(c).min, -8.0f);
+  EXPECT_FLOAT_EQ(calib.range(c).max, 8.0f);
+  EXPECT_FLOAT_EQ(calib.range(sum).min, -9.0f);
+  EXPECT_FLOAT_EQ(calib.range(sum).max, 9.0f);
+
+  Graph qm = quantize_model(m, calib);
+  const float scale_a =
+      qm.node(node_id_by_name(qm, "a_quantize")).output_quant.scale();
+  const float scale_c =
+      qm.node(node_id_by_name(qm, "c_quantize")).output_quant.scale();
+  EXPECT_FLOAT_EQ(scale_a, activation_quant_params(-1.0f, 1.0f, false).scale());
+  EXPECT_FLOAT_EQ(scale_c, activation_quant_params(-8.0f, 8.0f, false).scale());
+
+  EXPECT_THROW(calib.observe({Tensor::f32(Shape{1, 4}, {0, 0, 0, 0})}),
+               MlxError);
+}
+
+// The range each Method derives from per-sample extremes, computed here
+// independently of the calibrator.
+Calibrator::Range expected_range(CalibrationOptions::Method method,
+                                 std::vector<float> mins,
+                                 std::vector<float> maxs) {
+  Calibrator::Range r;
+  switch (method) {
+    case CalibrationOptions::Method::kMinMax:
+      r.min = *std::min_element(mins.begin(), mins.end());
+      r.max = *std::max_element(maxs.begin(), maxs.end());
+      break;
+    case CalibrationOptions::Method::kMovingAverage:
+      r.min = mins[0];
+      r.max = maxs[0];
+      for (std::size_t i = 1; i < mins.size(); ++i) {
+        const float m = 0.9f;
+        r.min = m * r.min + (1.0f - m) * mins[i];
+        r.max = m * r.max + (1.0f - m) * maxs[i];
+      }
+      break;
+    case CalibrationOptions::Method::kPercentile: {
+      std::sort(mins.begin(), mins.end());
+      std::sort(maxs.begin(), maxs.end());
+      const auto idx = static_cast<std::size_t>(
+          std::floor(0.995 * static_cast<double>(maxs.size() - 1)));
+      r.min = mins[mins.size() - 1 - idx];
+      r.max = maxs[idx];
+      break;
+    }
+  }
+  r.min = std::min(r.min, 0.0f);
+  r.max = std::max(r.max, 0.0f);
+  if (r.max - r.min < 1e-6f) r.max = r.min + 1e-6f;
+  return r;
+}
+
+// Ranges recorded while the activations stream past equal the ranges of a
+// Session's retained node outputs, for every method and every f32 node of
+// the single-input zoo models.
+TEST(Calibrator, PushRangesMatchRetainedNodeOutputs) {
+  const CalibrationOptions::Method methods[] = {
+      CalibrationOptions::Method::kMinMax,
+      CalibrationOptions::Method::kMovingAverage,
+      CalibrationOptions::Method::kPercentile};
+  for (const ZooEntry& entry : image_zoo()) {
+    SCOPED_TRACE(entry.name);
+    Graph g = convert_for_inference(entry.build(31, 1).model);
+    ASSERT_EQ(g.input_ids().size(), 1u);
+    Pcg32 rng(32);
+    std::vector<Tensor> samples;
+    for (int i = 0; i < 5; ++i) {
+      samples.push_back(random_input(g.node(g.input_ids()[0]).output_shape,
+                                     rng, -1.5f, 1.5f));
+    }
+
+    RefOpResolver ref;
+    Model model(&g, &ref);
+    Session session(&model);
+    std::vector<std::vector<float>> mins(g.nodes.size());
+    std::vector<std::vector<float>> maxs(g.nodes.size());
+    for (const Tensor& x : samples) {
+      session.set_input(0, x);
+      session.invoke();
+      for (const Node& n : g.nodes) {
+        const Tensor& out = session.node_output(n.id);
+        if (out.dtype() != DType::kF32) continue;
+        const TensorSummary s = summarize(out);
+        mins[static_cast<std::size_t>(n.id)].push_back(s.min);
+        maxs[static_cast<std::size_t>(n.id)].push_back(s.max);
+      }
+    }
+
+    for (CalibrationOptions::Method method : methods) {
+      CalibrationOptions opts;
+      opts.method = method;
+      Calibrator calib(&g, opts);
+      for (const Tensor& x : samples) calib.observe({x});
+      for (const Node& n : g.nodes) {
+        const auto id = static_cast<std::size_t>(n.id);
+        if (mins[id].empty()) continue;
+        const Calibrator::Range want = expected_range(method, mins[id], maxs[id]);
+        const Calibrator::Range got = calib.range(n.id);
+        if (method == CalibrationOptions::Method::kMovingAverage) {
+          // The blend may contract to an FMA differently here and in the
+          // library; MinMax and Percentile, which read the same per-sample
+          // extremes, are compared exactly.
+          EXPECT_FLOAT_EQ(got.min, want.min) << n.name;
+          EXPECT_FLOAT_EQ(got.max, want.max) << n.name;
+        } else {
+          EXPECT_EQ(got.min, want.min) << n.name << " method " << int(method);
+          EXPECT_EQ(got.max, want.max) << n.name << " method " << int(method);
+        }
+      }
+    }
+  }
+}
+
 TEST(QuantizeModel, StructureHasQuantizeAndDequantize) {
   Graph ckpt = post_act_model(11);
   Graph converted = convert_for_inference(ckpt);
@@ -276,8 +412,10 @@ TEST(QuantizeModel, EndToEndAccuracyClose) {
   }
   Graph qm = quantize_model(converted, calib);
   RefOpResolver ref;
-  Interpreter fi(&converted, &ref);
-  Interpreter qi(&qm, &ref);
+  Model fi_model(&converted, &ref);
+  Session fi(&fi_model);
+  Model qi_model(&qm, &ref);
+  Session qi(&qi_model);
   double worst = 0.0;
   for (int i = 0; i < 8; ++i) {
     Tensor input = random_input(Shape{1, 8, 8, 3}, rng);

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/dwconv.h"
 #include "src/kernels/kernel_tier.h"
 #include "src/quant/quantizer.h"
@@ -161,16 +161,16 @@ class DwConvGrid : public ::testing::TestWithParam<DwGridCase> {
   }
 };
 
-// Invokes `interp` under every forced tier and asserts each result is
+// Invokes `session` under every forced tier and asserts each result is
 // byte-identical to `want` (the kAuto result).
-void expect_all_tiers_bit_equal(Interpreter& interp,
+void expect_all_tiers_bit_equal(Session& session,
                                 const std::vector<float>& want,
                                 const DwGridCase& c) {
   for (KernelTier tier :
        {KernelTier::kGenericVector, KernelTier::kScalar}) {
     set_kernel_tier_for_testing(tier);
-    interp.invoke();
-    const Tensor& out = interp.output(0);
+    session.invoke();
+    const Tensor& out = session.output(0);
     ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
     EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
                           want.size() * sizeof(float)),
@@ -183,25 +183,25 @@ void expect_all_tiers_bit_equal(Interpreter& interp,
 // Steady-state contract: invoke never touches the heap, never registers
 // tensor/arena allocations, and never re-packs dwconv weights once the plan
 // exists. `packs_since_prepare` is the dwconv_pack_events() reading taken
-// right after interpreter construction.
-void expect_steady_state_clean(Interpreter& interp,
+// right after model construction.
+void expect_steady_state_clean(Session& session,
                                std::uint64_t packs_at_prepare,
                                const DwGridCase& c) {
-  interp.invoke();  // warmup may grow the scratch arena
+  session.invoke();  // warmup may grow the scratch arena
   EXPECT_EQ(dwconv_pack_events(), packs_at_prepare)
       << c << ": first invoke re-packed dwconv weights despite the plan";
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
   const std::size_t high_water_before =
-      interp.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 3; ++i) interp.invoke();
+      session.scratch_arena().high_water_bytes();
+  for (int i = 0; i < 3; ++i) session.invoke();
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
       << c << ": steady-state invoke registered allocations";
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << c << ": steady-state invoke touched the heap";
   EXPECT_EQ(dwconv_pack_events(), packs_at_prepare)
       << c << ": steady-state invoke re-packed dwconv weights";
-  EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before)
+  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before)
       << c << ": steady-state invoke grew the scratch arena";
 }
 
@@ -221,9 +221,11 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
   RefOpResolver ref;
   BuiltinOpResolver opt;
   if (!c.quantized) {
-    Interpreter ri(&m, &ref);
+    Model ri_model(&m, &ref);
+    Session ri(&ri_model);
     const std::uint64_t packs_at_prepare_probe = dwconv_pack_events();
-    Interpreter oi(&m, &opt, /*num_threads=*/2);
+    Model oi_model(&m, &opt, /*num_threads=*/2);
+    Session oi(&oi_model);
     // f32 filters are panel-shaped as stored: nothing packs, ever.
     EXPECT_EQ(dwconv_pack_events(), packs_at_prepare_probe) << c;
     const std::uint64_t packs_at_prepare = dwconv_pack_events();
@@ -247,9 +249,11 @@ TEST_P(DwConvGrid, OptMatchesRefAcrossTiers) {
     // Default quantizer options: per-channel weight scales (axis 3 for
     // depthwise), asymmetric activation zero points.
     Graph qm = quantize_model(m, calib);
-    Interpreter ri(&qm, &ref);
+    Model ri_model(&qm, &ref);
+    Session ri(&ri_model);
     const std::uint64_t packs_at_prepare_probe = dwconv_pack_events();
-    Interpreter oi(&qm, &opt, /*num_threads=*/2);
+    Model oi_model(&qm, &opt, /*num_threads=*/2);
+    Session oi(&oi_model);
     EXPECT_EQ(dwconv_pack_events(), packs_at_prepare_probe + 1) << c;
     const std::uint64_t packs_at_prepare = dwconv_pack_events();
     ri.set_input(0, input);
@@ -289,7 +293,8 @@ TEST(DwConvPlanless, PrepareThenInvokeMatchesPlannedAndPacksOncePerPrepare) {
   for (int i = 0; i < 4; ++i) calib.observe({random_input(in_shape, crng)});
   Graph qm = quantize_model(m, calib);
   BuiltinOpResolver opt;
-  Interpreter planned(&qm, &opt);
+  Model planned_model(&qm, &opt);
+  Session planned(&planned_model);
   Pcg32 drng(12);
   Tensor input = random_input(in_shape, drng);
   planned.set_input(0, input);

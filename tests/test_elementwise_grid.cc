@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/elementwise.h"
 #include "src/kernels/kernel_tier.h"
 #include "src/quant/quantizer.h"
@@ -209,16 +209,16 @@ class ElementwiseGrid : public ::testing::TestWithParam<EwGridCase> {
   }
 };
 
-// Invokes `interp` under every forced tier and asserts each result is
+// Invokes `session` under every forced tier and asserts each result is
 // byte-identical to `want` (the kAuto result).
-void expect_all_tiers_bit_equal(Interpreter& interp,
+void expect_all_tiers_bit_equal(Session& session,
                                 const std::vector<float>& want,
                                 const EwGridCase& c) {
   for (KernelTier tier :
        {KernelTier::kGenericVector, KernelTier::kScalar}) {
     set_kernel_tier_for_testing(tier);
-    interp.invoke();
-    const Tensor& out = interp.output(0);
+    session.invoke();
+    const Tensor& out = session.output(0);
     ASSERT_EQ(static_cast<std::size_t>(out.num_elements()), want.size()) << c;
     EXPECT_EQ(std::memcmp(out.raw_data(), want.data(),
                           want.size() * sizeof(float)),
@@ -231,25 +231,25 @@ void expect_all_tiers_bit_equal(Interpreter& interp,
 // Steady-state contract: invoke never touches the heap, never registers
 // tensor/arena allocations, and never rebuilds Q31 tables / LUTs once the
 // plan exists. `packs_at_prepare` is the elementwise_pack_events() reading
-// taken right after interpreter construction.
-void expect_steady_state_clean(Interpreter& interp,
+// taken right after model construction.
+void expect_steady_state_clean(Session& session,
                                std::uint64_t packs_at_prepare,
                                const EwGridCase& c) {
-  interp.invoke();  // warmup may grow the scratch arena
+  session.invoke();  // warmup may grow the scratch arena
   EXPECT_EQ(elementwise_pack_events(), packs_at_prepare)
       << c << ": first invoke rebuilt Q31/LUT state despite the plan";
   const std::uint64_t events_before = AllocStats::instance().alloc_events();
   const std::uint64_t heap_before = g_heap_allocs.load();
   const std::size_t high_water_before =
-      interp.scratch_arena().high_water_bytes();
-  for (int i = 0; i < 3; ++i) interp.invoke();
+      session.scratch_arena().high_water_bytes();
+  for (int i = 0; i < 3; ++i) session.invoke();
   EXPECT_EQ(AllocStats::instance().alloc_events(), events_before)
       << c << ": steady-state invoke registered allocations";
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << c << ": steady-state invoke touched the heap";
   EXPECT_EQ(elementwise_pack_events(), packs_at_prepare)
       << c << ": steady-state invoke rebuilt Q31/LUT state";
-  EXPECT_EQ(interp.scratch_arena().high_water_bytes(), high_water_before)
+  EXPECT_EQ(session.scratch_arena().high_water_bytes(), high_water_before)
       << c << ": steady-state invoke grew the scratch arena";
 }
 
@@ -323,9 +323,11 @@ TEST_P(ElementwiseGrid, OptMatchesRefAcrossTiers) {
 
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&qm, &ref);
+  Model ri_model(&qm, &ref);
+  Session ri(&ri_model);
   const std::uint64_t packs_at_prepare_probe = elementwise_pack_events();
-  Interpreter oi(&qm, &opt, /*num_threads=*/2);
+  Model oi_model(&qm, &opt, /*num_threads=*/2);
+  Session oi(&oi_model);
   // Exactly one Q31 table / LUT build at plan time for the single
   // elementwise node; Quantize/Dequantize nodes must not tick the counter.
   EXPECT_EQ(elementwise_pack_events(), packs_at_prepare_probe + 1) << c;
@@ -401,8 +403,10 @@ TEST_F(ElementwiseAdversarial, PositiveOutShiftStaysConformant) {
     }
     RefOpResolver ref;
     BuiltinOpResolver opt;
-    Interpreter ri(&qm, &ref);
-    Interpreter oi(&qm, &opt);
+    Model ri_model(&qm, &ref);
+    Session ri(&ri_model);
+    Model oi_model(&qm, &opt);
+    Session oi(&oi_model);
     Pcg32 drng(23);
     Tensor input = random_input(in_shape, drng, -3.0f, 1.0f);
     Tensor gate = random_input(in_shape, drng, -1.0f, 3.0f);
@@ -445,7 +449,8 @@ TEST(ElementwisePlanless,
   }
   Graph qm = quantize_model(m, calib);
   BuiltinOpResolver opt;
-  Interpreter planned(&qm, &opt);
+  Model planned_model(&qm, &opt);
+  Session planned(&planned_model);
   Pcg32 drng(33);
   Tensor input = random_input(in_shape, drng);
   Tensor gate = random_input(in_shape, drng);

@@ -30,7 +30,7 @@
 
 #include "src/convert/converter.h"
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/activation.h"
 #include "src/kernels/conv_utils.h"
 #include "src/models/zoo.h"
@@ -500,11 +500,12 @@ TEST_P(FloatModelConformance, SharedKernelsMatchAtMobileNetV3Shapes) {
   const int batch = GetParam();
   const Graph g = convert_for_inference(build_mobilenet_v3_mini(7, batch).model);
   BuiltinOpResolver opt;
-  Interpreter interp(&g, &opt);
+  Model model(&g, &opt);
+  Session session(&model);
   const Tensor input = grid_input(g.node(g.input_ids()[0]).output_shape,
                                   31 + static_cast<std::uint64_t>(batch));
-  interp.set_input(0, input);
-  interp.invoke();
+  session.set_input(0, input);
+  session.invoke();
   int checked = 0;
   for (const Node& node : g.nodes) {
     switch (node.type) {
@@ -522,11 +523,11 @@ TEST_P(FloatModelConformance, SharedKernelsMatchAtMobileNetV3Shapes) {
         continue;
     }
     std::vector<const Tensor*> inputs;
-    for (int id : node.inputs) inputs.push_back(&interp.node_output(id));
+    for (int id : node.inputs) inputs.push_back(&session.node_output(id));
     const std::string label = node.name + "/b" + std::to_string(batch);
     expect_conformant(node, inputs, label);
     EXPECT_TRUE(bytes_equal(run_legacy(node, inputs),
-                            interp.node_output(node.id)))
+                            session.node_output(node.id)))
         << label << ": the planned invoke differs from the scalar loop";
     ++checked;
   }

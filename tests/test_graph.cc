@@ -124,6 +124,26 @@ TEST(Serialization, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(Serialization, ZeroElementTensorRoundTrip) {
+  // A zero-element tensor owns no buffer, so the reader is handed a null
+  // destination for an empty payload.
+  Tensor t(DType::kF32, Shape{0, 4});
+  ASSERT_EQ(t.byte_size(), 0u);
+  BinaryWriter w;
+  serialize_tensor(w, t);
+  serialize_tensor(w, Tensor::f32(Shape{2}, {1.5f, -2.0f}));
+  BinaryReader r(w.bytes());
+  Tensor back = deserialize_tensor(r);
+  EXPECT_EQ(back.dtype(), DType::kF32);
+  EXPECT_EQ(back.shape(), t.shape());
+  EXPECT_EQ(back.byte_size(), 0u);
+  // The cursor stays aligned: the next tensor reads back intact.
+  Tensor next = deserialize_tensor(r);
+  ASSERT_EQ(next.num_elements(), 2);
+  EXPECT_EQ(next.data<float>()[0], 1.5f);
+  EXPECT_EQ(next.data<float>()[1], -2.0f);
+}
+
 TEST(Serialization, RejectsGarbage) {
   BinaryWriter w;
   w.write_u32(0xdeadbeef);

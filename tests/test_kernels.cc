@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/conv_utils.h"
 #include "src/kernels/fixed_point.h"
 #include "src/quant/quantizer.h"
@@ -78,8 +78,10 @@ TEST_P(ConvParity, RefMatchesOptimized) {
 
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt, /*num_threads=*/2);
+  Model ri_model(&m, &ref);
+  Session ri(&ri_model);
+  Model oi_model(&m, &opt, /*num_threads=*/2);
+  Session oi(&oi_model);
   Tensor input = random_input(Shape{1, c.in_size, c.in_size, c.in_ch}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -115,8 +117,10 @@ TEST_P(DwConvParity, RefMatchesOptimized) {
   Graph m = b.finish({1});
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt, 2);
+  Model ri_model(&m, &ref);
+  Session ri(&ri_model);
+  Model oi_model(&m, &opt, 2);
+  Session oi(&oi_model);
   Tensor input = random_input(Shape{1, c.in_size, c.in_size, c.ch}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -141,8 +145,10 @@ TEST(KernelParity, PadRefMatchesOptimized) {
   Graph m = b.finish({1});
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt);
+  Model ri_model(&m, &ref);
+  Session ri(&ri_model);
+  Model oi_model(&m, &opt);
+  Session oi(&oi_model);
   Tensor input = random_input(Shape{1, 5, 6, 3}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -159,8 +165,10 @@ TEST(KernelParity, FullyConnectedRefMatchesOptimized) {
   Graph m = b.finish({1});
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt, 2);
+  Model ri_model(&m, &ref);
+  Session ri(&ri_model);
+  Model oi_model(&m, &opt, 2);
+  Session oi(&oi_model);
   Tensor input = random_input(Shape{1, 4, 4, 3}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -178,10 +186,11 @@ TEST(Kernels, SoftmaxRowsSumToOne) {
   b.softmax(x, "sm");
   Graph m = b.finish({1});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 6}, {1, 2, 3, -1, 0, 5}));
-  interp.invoke();
-  const float* p = interp.output(0).data<float>();
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 6}, {1, 2, 3, -1, 0, 5}));
+  session.invoke();
+  const float* p = session.output(0).data<float>();
   float sum = 0;
   for (int i = 0; i < 6; ++i) sum += p[i];
   EXPECT_NEAR(sum, 1.0f, 1e-5);
@@ -195,10 +204,11 @@ TEST(Kernels, MeanComputesSpatialAverage) {
   b.mean(x, "m");
   Graph m = b.finish({1});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 2, 2, 1}, {1, 2, 3, 6}));
-  interp.invoke();
-  EXPECT_FLOAT_EQ(interp.output(0).data<float>()[0], 3.0f);
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 2, 2, 1}, {1, 2, 3, 6}));
+  session.invoke();
+  EXPECT_FLOAT_EQ(session.output(0).data<float>()[0], 3.0f);
 }
 
 TEST(Kernels, MulBroadcastsSqueezeExciteGate) {
@@ -209,12 +219,13 @@ TEST(Kernels, MulBroadcastsSqueezeExciteGate) {
   b.mul(x, g, "scaled");
   Graph m = b.finish({2});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 2, 2, 2},
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 2, 2, 2},
                                   {1, 2, 1, 2, 1, 2, 1, 2}));
-  interp.invoke();
+  session.invoke();
   // gate = (1,2); out = x * gate per channel.
-  const float* p = interp.output(0).data<float>();
+  const float* p = session.output(0).data<float>();
   EXPECT_FLOAT_EQ(p[0], 1.0f);
   EXPECT_FLOAT_EQ(p[1], 4.0f);
 }
@@ -226,10 +237,11 @@ TEST(Kernels, HardSwishMatchesFormula) {
   b.hardswish(x, "h");
   Graph m = b.finish({1});
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 5}, {-4, -1, 0, 1, 4}));
-  interp.invoke();
-  const float* p = interp.output(0).data<float>();
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 5}, {-4, -1, 0, 1, 4}));
+  session.invoke();
+  const float* p = session.output(0).data<float>();
   EXPECT_FLOAT_EQ(p[0], 0.0f);
   EXPECT_FLOAT_EQ(p[1], -1.0f * 2.0f / 6.0f);
   EXPECT_FLOAT_EQ(p[2], 0.0f);
@@ -249,11 +261,12 @@ TEST(Kernels, BatchNormInferenceUsesMovingStats) {
   node.weights[2].data<float>()[0] = 3.0f;
   node.weights[3].data<float>()[0] = 4.0f;
   RefOpResolver ref;
-  Interpreter interp(&m, &ref);
-  interp.set_input(0, Tensor::f32(Shape{1, 1, 1, 2}, {5.0f, 0.0f}));
-  interp.invoke();
+  Model model(&m, &ref);
+  Session session(&model);
+  session.set_input(0, Tensor::f32(Shape{1, 1, 1, 2}, {5.0f, 0.0f}));
+  session.invoke();
   float expected = 2.0f * (5.0f - 3.0f) / std::sqrt(4.0f + 1e-5f) + 1.0f;
-  EXPECT_NEAR(interp.output(0).data<float>()[0], expected, 1e-4);
+  EXPECT_NEAR(session.output(0).data<float>()[0], expected, 1e-4);
 }
 
 // --- quantized kernels ---
@@ -275,10 +288,13 @@ TEST(QuantKernels, QuantizedConvTracksFloat) {
   Graph qm = quantize_model(m, calib);
 
   RefOpResolver ref;
-  Interpreter fi(&m, &ref);
-  Interpreter qi_ref(&qm, &ref);
+  Model fi_model(&m, &ref);
+  Session fi(&fi_model);
+  Model qi_ref_model(&qm, &ref);
+  Session qi_ref(&qi_ref_model);
   BuiltinOpResolver opt;
-  Interpreter qi_opt(&qm, &opt);
+  Model qi_opt_model(&qm, &opt);
+  Session qi_opt(&qi_opt_model);
 
   Pcg32 erng(23);
   Tensor input = random_input(Shape{1, 8, 8, 3}, erng);
@@ -378,8 +394,10 @@ TEST(QuantKernels, DwConvBugEmulationWrecksOutput) {
 
   BuiltinOpResolver good(KernelBugConfig::none());
   BuiltinOpResolver bad(KernelBugConfig::as_shipped());
-  Interpreter gi(&qm, &good);
-  Interpreter bi(&qm, &bad);
+  Model gi_model(&qm, &good);
+  Session gi(&gi_model);
+  Model bi_model(&qm, &bad);
+  Session bi(&bi_model);
   Tensor input = Tensor::f32(Shape{1, 8, 8, 8});
   Pcg32 erng(33);
   float* p = input.data<float>();
@@ -408,8 +426,10 @@ TEST(QuantKernels, AvgPoolBugEmulationCollapsesOutput) {
 
   RefOpResolver good(KernelBugConfig::none());
   RefOpResolver bad(KernelBugConfig::as_shipped());
-  Interpreter gi(&qm, &good);
-  Interpreter bi(&qm, &bad);
+  Model gi_model(&qm, &good);
+  Session gi(&gi_model);
+  Model bi_model(&qm, &bad);
+  Session bi(&bi_model);
   Pcg32 erng(43);
   Tensor input = random_input(Shape{1, 8, 8, 4}, erng);
   gi.set_input(0, input);
@@ -580,11 +600,12 @@ TEST(QuantKernels, QuantizeDequantizeRoundTrip) {
   calib.observe({input});
   Graph qm = quantize_model(m, calib);
   RefOpResolver ref;
-  Interpreter interp(&qm, &ref);
-  interp.set_input(0, input);
-  interp.invoke();
+  Model model(&qm, &ref);
+  Session session(&model);
+  session.set_input(0, input);
+  session.invoke();
   // round-trip error bounded by one quantization step (range 4 / 255).
-  EXPECT_LT(linf_error(interp.output(0), input), 4.2 / 255.0);
+  EXPECT_LT(linf_error(session.output(0), input), 4.2 / 255.0);
 }
 
 // --- vectorized Quantize/Dequantize vs scalar reference ---------------------

@@ -14,7 +14,7 @@
 #include "src/core/trace.h"
 #include "src/graph/builder.h"
 #include "src/graph/serialization.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/kernels/activation.h"
 #include "src/kernels/dwconv.h"
 #include "src/kernels/elementwise.h"
@@ -81,7 +81,7 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
   RefOpResolver ref;
   BuiltinOpResolver opt;
 
-  auto run_all_tiers = [&](Interpreter& oi) {
+  auto run_all_tiers = [&](Session& oi) {
     oi.invoke();
     const float* p = oi.output(0).data<float>();
     std::vector<float> want(p, p + oi.output(0).num_elements());
@@ -99,8 +99,10 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
   };
 
   {  // float: bit-exact against the reference kernel, all tiers.
-    Interpreter ri(&m, &ref);
-    Interpreter oi(&m, &opt, /*num_threads=*/2);
+    Model ri_model(&m, &ref);
+    Session ri(&ri_model);
+    Model oi_model(&m, &opt, /*num_threads=*/2);
+    Session oi(&oi_model);
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();
@@ -123,8 +125,10 @@ TEST_P(DwConvRandom, AllTiersMatchReference) {
       const Node& out = qm.node(qm.outputs[0]);
       return qm.node(out.inputs[0]).output_quant.scale();
     }();
-    Interpreter ri(&qm, &ref);
-    Interpreter oi(&qm, &opt, /*num_threads=*/2);
+    Model ri_model(&qm, &ref);
+    Session ri(&ri_model);
+    Model oi_model(&qm, &opt, /*num_threads=*/2);
+    Session oi(&oi_model);
     ri.set_input(0, input);
     oi.set_input(0, input);
     ri.invoke();
@@ -213,8 +217,10 @@ TEST_P(ElementwiseRandom, AllTiersMatchReference) {
   }();
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&qm, &ref);
-  Interpreter oi(&qm, &opt, /*num_threads=*/2);
+  Model ri_model(&qm, &ref);
+  Session ri(&ri_model);
+  Model oi_model(&qm, &opt, /*num_threads=*/2);
+  Session oi(&oi_model);
   ri.set_input(0, input);
   oi.set_input(0, input);
   if (binary) {
@@ -266,8 +272,10 @@ TEST_P(PoolParity, ResolversAgree) {
   Graph m = b.finish({1});
   RefOpResolver ref;
   BuiltinOpResolver opt;
-  Interpreter ri(&m, &ref);
-  Interpreter oi(&m, &opt);
+  Model ri_model(&m, &ref);
+  Session ri(&ri_model);
+  Model oi_model(&m, &opt);
+  Session oi(&oi_model);
   Tensor input = random_f32(Shape{1, c.size, c.size, c.ch}, rng);
   ri.set_input(0, input);
   oi.set_input(0, input);
@@ -339,8 +347,10 @@ TEST_P(ZooSerialization, OutputsIdenticalAfterRoundTrip) {
   BinaryReader reader(bytes);
   Graph back = deserialize_model(reader);
   RefOpResolver ref;
-  Interpreter a(&zm.model, &ref);
-  Interpreter b(&back, &ref);
+  Model a_model(&zm.model, &ref);
+  Session a(&a_model);
+  Model b_model(&back, &ref);
+  Session b(&b_model);
   Pcg32 rng(6);
   Tensor input = random_f32(Shape{1, 32, 32, 3}, rng);
   a.set_input(0, input);
@@ -372,8 +382,10 @@ TEST_P(ZooConverter, ConvertedMatchesCheckpoint) {
   }
   Graph converted = convert_for_inference(zm.model);
   RefOpResolver ref;
-  Interpreter a(&zm.model, &ref);
-  Interpreter b(&converted, &ref);
+  Model a_model(&zm.model, &ref);
+  Session a(&a_model);
+  Model b_model(&converted, &ref);
+  Session b(&b_model);
   Pcg32 rng(7);
   for (int trial = 0; trial < 2; ++trial) {
     Tensor input = random_f32(Shape{1, 32, 32, 3}, rng);
@@ -402,8 +414,10 @@ TEST_P(ZooQuantization, QuantizedTracksFloatOnCorrectKernels) {
   for (const Tensor& s : samples) calib.observe({s});
   Graph quant = quantize_model(mobile, calib);
   RefOpResolver ref;
-  Interpreter fi(&mobile, &ref);
-  Interpreter qi(&quant, &ref);
+  Model fi_model(&mobile, &ref);
+  Session fi(&fi_model);
+  Model qi_model(&quant, &ref);
+  Session qi(&qi_model);
   for (const Tensor& s : samples) {
     fi.set_input(0, s);
     qi.set_input(0, s);

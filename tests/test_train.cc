@@ -5,7 +5,7 @@
 #include <string>
 
 #include "src/graph/builder.h"
-#include "src/interpreter/interpreter.h"
+#include "src/interpreter/session.h"
 #include "src/train/train_loop.h"
 #include "src/train/trainer.h"
 
@@ -251,12 +251,13 @@ TEST(Trainer, CopyWeightsTransfersValues) {
 // --- trainer vs deployed plan ------------------------------------------------
 
 // Every activation of `trainer`'s last forward, bit-compared with a fresh
-// planned Interpreter over the same graph and resolver.
+// planned Session over the same graph and resolver.
 void expect_forward_matches_plan(Trainer& trainer, Graph& graph,
                                  const OpResolver& resolver,
                                  const Tensor& input) {
   trainer.forward({input});
-  Interpreter planned(&graph, &resolver);
+  Model planned_model(&graph, &resolver);
+  Session planned(&planned_model);
   planned.set_input(0, input);
   planned.invoke();
   for (const Node& n : graph.nodes) {
