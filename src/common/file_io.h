@@ -30,6 +30,9 @@ class BinaryWriter {
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::size_t size() const { return bytes_.size(); }
+  // Empties the buffer but keeps its capacity, so a reused writer stops
+  // allocating once it has held its largest record.
+  void clear() { bytes_.clear(); }
 
  private:
   std::vector<std::uint8_t> bytes_;

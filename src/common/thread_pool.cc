@@ -37,19 +37,18 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_chunks(std::atomic<std::size_t>& next, const WorkerFn& fn,
-                            std::size_t end, std::size_t chunk,
-                            std::size_t worker_index) {
+                            std::size_t end, std::size_t chunk) {
   for (;;) {
     const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
     if (lo >= end) return;
-    fn(lo, std::min(end, lo + chunk), worker_index);
+    fn(lo, std::min(end, lo + chunk));
   }
 }
 
 ThreadPool::Job* ThreadPool::find_joinable_locked() {
   for (Job& job : jobs_) {
-    // Joinable: accepting participants, a dense index still free under the
-    // job's cap, and unclaimed chunks remain (a fully-claimed range makes
+    // Joinable: accepting participants, still below the job's participant
+    // cap, and unclaimed chunks remain (a fully-claimed range makes
     // joining useless — the worker would spin once on `next` and leave).
     if (job.in_use && job.live && job.joined < job.max_participants &&
         job.next.load(std::memory_order_relaxed) < job.end) {
@@ -72,18 +71,18 @@ void ThreadPool::worker_loop() {
       job = find_joinable_locked();
       if (job == nullptr) continue;  // lost the race to other workers
     }
-    // Claim a dense participant index and commit (in_flight) while still
-    // holding the lock: the submitter cannot retire the job and reuse the
-    // slot once this worker has latched it, so the captured fn/end/chunk can
-    // never be a stale/fresh mix.
-    const std::size_t slot = job->joined++;
+    // Count this participant against the cap and commit (in_flight) while
+    // still holding the lock: the submitter cannot retire the job and reuse
+    // the slot once this worker has latched it, so the captured
+    // fn/end/chunk can never be a stale/fresh mix.
+    ++job->joined;
     ++job->in_flight;
     const WorkerFn* fn = job->fn;
     const std::size_t end = job->end;
     const std::size_t chunk = job->chunk;
     std::atomic<std::size_t>* next = &job->next;
     lock.unlock();
-    run_chunks(*next, *fn, end, chunk, slot);
+    run_chunks(*next, *fn, end, chunk);
     lock.lock();
     --job->in_flight;
     // The submitter only waits after flipping live off under this mutex, so
@@ -93,10 +92,10 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for_workers(
-    std::size_t begin, std::size_t end,
-    FunctionRef<void(std::size_t, std::size_t, std::size_t)> fn,
-    std::size_t min_chunk, std::size_t max_participants) {
+void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
+                              FunctionRef<void(std::size_t, std::size_t)> fn,
+                              std::size_t min_chunk,
+                              std::size_t max_participants) {
   if (begin >= end) return;
   min_chunk = std::max<std::size_t>(1, min_chunk);
   const std::size_t total = end - begin;
@@ -105,7 +104,7 @@ void ThreadPool::parallel_for_workers(
   if (max_participants != 0) limit = std::min(limit, max_participants);
   if (t_pool_of_worker == this || max_chunks <= 1 || limit <= 1 ||
       workers_.empty()) {
-    fn(begin, end, 0);
+    fn(begin, end);
     return;
   }
   const std::size_t participants = std::min(limit, max_chunks);
@@ -130,7 +129,7 @@ void ThreadPool::parallel_for_workers(
       job->end = end;
       job->chunk = chunk;
       job->max_participants = participants;
-      job->joined = 1;  // the submitter is participant 0
+      job->joined = 1;  // the submitter
       job->in_flight = 0;
       job->next.store(begin, std::memory_order_relaxed);
     }
@@ -138,11 +137,11 @@ void ThreadPool::parallel_for_workers(
   if (job == nullptr) {
     // Every slot is busy: the pool is saturated with other jobs anyway, so
     // run inline rather than queueing behind them.
-    fn(begin, end, 0);
+    fn(begin, end);
     return;
   }
   cv_.notify_all();
-  run_chunks(job->next, fn, end, chunk, /*worker_index=*/0);
+  run_chunks(job->next, fn, end, chunk);
   {
     std::unique_lock<std::mutex> lock(mutex_);
     // The submitter only returns once the range is fully claimed, so late
@@ -154,16 +153,6 @@ void ThreadPool::parallel_for_workers(
     job->fn = nullptr;
     job->in_use = false;
   }
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              FunctionRef<void(std::size_t, std::size_t)> fn,
-                              std::size_t min_chunk,
-                              std::size_t max_participants) {
-  parallel_for_workers(
-      begin, end,
-      [&fn](std::size_t lo, std::size_t hi, std::size_t) { fn(lo, hi); },
-      min_chunk, max_participants);
 }
 
 }  // namespace mlexray

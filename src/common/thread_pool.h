@@ -9,8 +9,8 @@
 // parallel_for is designed for the interpreter's steady-state invoke path:
 // the loop body is passed as a non-owning FunctionRef (no std::function
 // heap allocation) and chunks are handed out through an atomic counter (no
-// per-chunk task objects). The calling thread participates as worker 0, so a
-// pool of N threads gives up to N+1-way parallelism.
+// per-chunk task objects). The calling thread participates too, so a pool
+// of N threads gives up to N+1-way parallelism.
 //
 // Composability: the pool runs up to kMaxConcurrentJobs jobs at once. Each
 // submission owns a fixed job slot; idle workers join whichever live job
@@ -54,7 +54,7 @@ class ThreadPool {
   explicit ThreadPool(std::size_t num_threads);
 
   // Worker count for a pool owned on behalf of a `num_threads` request:
-  // at most num_threads - 1 (the submitter is always participant 0), and
+  // at most num_threads - 1 (the submitter always participates), and
   // never more than the host's spare cores (hardware_concurrency - 1).
   // num_threads is a *cap*, not a promise of width — workers beyond the
   // core count cannot add throughput, only context-switch overhead, so a
@@ -85,18 +85,8 @@ class ThreadPool {
                     FunctionRef<void(std::size_t, std::size_t)> fn,
                     std::size_t min_chunk = 1, std::size_t max_participants = 0);
 
-  // As parallel_for, but fn also receives the executing participant's index,
-  // dense in [0, p) where p = min(max_participants or parallelism(),
-  // chunk count); index 0 is the calling thread. Kernels use the index to
-  // address per-worker scratch slices, which they must therefore size from
-  // the same cap (see PoolRef::parallelism / KernelContext::worker_count).
-  void parallel_for_workers(
-      std::size_t begin, std::size_t end,
-      FunctionRef<void(std::size_t, std::size_t, std::size_t)> fn,
-      std::size_t min_chunk = 1, std::size_t max_participants = 0);
-
  private:
-  using WorkerFn = FunctionRef<void(std::size_t, std::size_t, std::size_t)>;
+  using WorkerFn = FunctionRef<void(std::size_t, std::size_t)>;
 
   // One in-flight parallel_for. All fields except `next` are guarded by
   // mutex_; `next` is the lock-free chunk cursor participants hammer while
@@ -107,7 +97,7 @@ class ThreadPool {
     std::size_t end = 0;
     std::size_t chunk = 1;
     std::size_t max_participants = 0;  // includes the submitter
-    std::size_t joined = 0;            // participant slots handed out
+    std::size_t joined = 0;            // participants so far, submitter too
     int in_flight = 0;                 // workers currently running chunks
     bool live = false;                 // still accepting joiners
     bool in_use = false;               // slot claimed by a submitter
@@ -123,8 +113,7 @@ class ThreadPool {
   // job (workers capture theirs under mutex_; the submitter uses its own
   // arguments).
   static void run_chunks(std::atomic<std::size_t>& next, const WorkerFn& fn,
-                         std::size_t end, std::size_t chunk,
-                         std::size_t worker_index);
+                         std::size_t end, std::size_t chunk);
 
   std::vector<std::thread> workers_;
   std::vector<Job> jobs_;  // fixed kMaxConcurrentJobs slots, never resized
@@ -135,13 +124,11 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-// A non-owning, capped view of a ThreadPool — the type kernels and plan
-// contexts carry. It pairs the pool with the participant budget its owner
+// A non-owning, capped view of a ThreadPool — the type kernel contexts
+// carry at invoke time. It pairs the pool with the participant budget its owner
 // (Model, Trainer, Engine) granted, so `num_threads = k` flows to every
 // parallel_for as a hard max_participants cap instead of being forgotten at
-// the call site. A null PoolRef runs everything inline; parallelism() is
-// what per-worker scratch must be sized from (it reflects the cap, and
-// worker indices handed to parallel_for_workers bodies are always below it).
+// the call site. A null PoolRef runs everything inline.
 class PoolRef {
  public:
   PoolRef() = default;
@@ -154,14 +141,6 @@ class PoolRef {
   ThreadPool* get() const { return pool_; }
   std::size_t cap() const { return cap_; }
 
-  // Threads a job submitted through this ref may use, cap applied; 1 when
-  // null. The upper bound (inclusive) of worker indices + 1.
-  std::size_t parallelism() const {
-    if (pool_ == nullptr) return 1;
-    const std::size_t p = pool_->parallelism();
-    return cap_ != 0 && cap_ < p ? cap_ : p;
-  }
-
   void parallel_for(std::size_t begin, std::size_t end,
                     FunctionRef<void(std::size_t, std::size_t)> fn,
                     std::size_t min_chunk = 1) const {
@@ -169,17 +148,6 @@ class PoolRef {
       pool_->parallel_for(begin, end, fn, min_chunk, cap_);
     } else if (begin < end) {
       fn(begin, end);
-    }
-  }
-
-  void parallel_for_workers(
-      std::size_t begin, std::size_t end,
-      FunctionRef<void(std::size_t, std::size_t, std::size_t)> fn,
-      std::size_t min_chunk = 1) const {
-    if (pool_ != nullptr) {
-      pool_->parallel_for_workers(begin, end, fn, min_chunk, cap_);
-    } else if (begin < end) {
-      fn(begin, end, 0);
     }
   }
 

@@ -297,7 +297,7 @@ void TraceBuffer::open_spool(const std::filesystem::path& path) {
   spool_out_.open(path, std::ios::binary | std::ios::trunc);
   MLX_CHECK(spool_out_.good()) << "cannot open spool file " << path.string();
   // Widen the capture ring so several completed frames can queue behind the
-  // writer (the batching that amortizes one write over many frames). Done
+  // writer (the batching that shares one header patch and flush). Done
   // before any frame is enqueued, so growing the vector is safe.
   const auto ring = static_cast<std::size_t>(
       options_.spool_queue_frames < 2 ? 2 : options_.spool_queue_frames);
@@ -352,14 +352,17 @@ void TraceBuffer::spool_wait_free(const CaptureFrame* frame) {
 }
 
 void TraceBuffer::spool_worker() {
+  // One frame is serialized at a time into this reused buffer, so the
+  // spooler holds one frame's bytes, not a whole wakeup's batch.
+  BinaryWriter w;
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(spool_mu_);
       spool_cv_.wait(lock,
                      [this] { return !spool_queue_.empty() || spool_stop_; });
       if (spool_queue_.empty()) return;  // stop requested, queue drained
-      // Take every queued frame at once — the batch that turns N frames
-      // into one write() below. swap keeps both vectors' capacity.
+      // Take every queued frame at once: one header patch and flush below
+      // covers the whole batch. swap keeps both vectors' capacity.
       spool_queue_.swap(spool_batch_);
       if (spool_batch_.size() > max_spool_batch_) {
         max_spool_batch_ = spool_batch_.size();
@@ -367,13 +370,13 @@ void TraceBuffer::spool_worker() {
     }
     try {
       if (fault::enabled()) fault::check(fault_sites::kSpoolWrite);
-      BinaryWriter w;
       for (const CaptureFrame* frame : spool_batch_) {
+        w.clear();
         serialize_frame(w, to_frame_trace(*frame));
+        spool_out_.write(reinterpret_cast<const char*>(w.bytes().data()),
+                         static_cast<std::streamsize>(w.size()));
+        MLX_CHECK(spool_out_.good()) << "spool write failed";
       }
-      spool_out_.write(reinterpret_cast<const char*>(w.bytes().data()),
-                       static_cast<std::streamsize>(w.size()));
-      MLX_CHECK(spool_out_.good()) << "spool write failed";
       // Crash safety: re-patch the header's frame count after every batch
       // (one small extra write per wakeup) and flush, so a killed process
       // leaves a readable .mlxtrace holding every fully-written frame —

@@ -64,9 +64,9 @@ struct MonitorOptions {
   // fire-and-forget deployments use this to keep memory flat.
   bool retain_frames = true;
   // Capture-frame ring size while spooling (clamped to >= 2). A deeper ring
-  // lets the spool worker batch several completed frames into one write per
-  // wakeup, cutting syscall count for high-FPS pipelines; the hot thread
-  // only blocks when all spare frames are queued behind the writer.
+  // lets the spool worker take several completed frames per wakeup, sharing
+  // one header patch and flush among them for high-FPS pipelines; the hot
+  // thread only blocks when all spare frames are queued behind the writer.
   int spool_queue_frames = 4;
 };
 
@@ -120,9 +120,10 @@ class TraceBuffer : public InvokeObserver {
   // Streams finalized frames to `path` (.mlxtrace, same format as
   // save_trace) from a background thread. Completed frames enter a bounded
   // FIFO (the capture ring above); the worker drains every queued frame per
-  // wakeup and writes the whole batch with one stream write, so high-FPS
-  // pipelines pay one syscall for several frames. The hot thread only
-  // blocks when it laps the writer with the whole ring in flight.
+  // wakeup, serializes and writes them one at a time through one reused
+  // buffer, then patches the header and flushes once for the whole batch.
+  // The hot thread only blocks when it laps the writer with the whole ring
+  // in flight.
   void open_spool(const std::filesystem::path& path);
   // Flushes, joins the spooler, patches the frame count into the file
   // header, and rethrows any spooler IO error. Returns frames written.
@@ -133,7 +134,7 @@ class TraceBuffer : public InvokeObserver {
   // readable even if the process dies before close_spool().
   std::size_t spooled_frames() const;
   // Of those, frames that carried per-layer digests — digest frames ride the
-  // same one-write-per-wakeup batch path as raw frames; tests assert fleet
+  // same per-wakeup batch path as raw frames; tests assert fleet
   // digests reach disk durably through this counter.
   std::size_t spooled_digest_frames() const;
 
@@ -151,8 +152,8 @@ class TraceBuffer : public InvokeObserver {
   // Bytes a fully captured frame holds (layer bytes + model outputs), i.e.
   // the per-frame capture cost of the current mode.
   std::size_t frame_capture_bytes() const;
-  // Largest number of frames the spool worker wrote with a single stream
-  // write so far — observability for the batching behaviour.
+  // Largest number of frames the spool worker took in a single wakeup so
+  // far — observability for the batching behaviour.
   std::size_t max_spool_batch() const;
   const MonitorOptions& options() const { return options_; }
 

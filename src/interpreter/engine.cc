@@ -221,7 +221,7 @@ const Model& Engine::load(const std::string& name, Graph graph) {
   // plan.prepare fault) propagates here, before the registry is touched —
   // the previous version keeps serving.
   auto model = std::make_unique<Model>(std::move(graph), resolver_,
-                                       pool_.get(), num_threads_);
+                                       num_threads_, pool_.get());
 
   std::lock_guard<std::mutex> lock(mu_);
   const std::size_t entry_index = find_entry_locked(name);
@@ -291,7 +291,7 @@ const Model* Engine::find(const std::string& name) const {
 
 SessionLease Engine::lease_locked(Version* version) {
   Entry& entry = *version->entry;
-  ++entry.leases_issued;
+  ++entry.stats.leases_issued;
   ++version->leases_outstanding;
   if (!version->free_list.empty()) {
     Session* session = version->free_list.back();
@@ -303,7 +303,7 @@ SessionLease Engine::lease_locked(Version* version) {
   // bookkeeping is simple; misses only happen while the pool warms up.
   version->sessions.push_back(
       std::make_unique<Session>(version->model.get()));
-  ++entry.sessions_created;
+  ++entry.stats.sessions_created;
   // Reserve free-list capacity for every session ever created, so release()
   // can push_back without allocating — part of the zero-alloc steady-state
   // acquire/invoke/release contract.
@@ -331,8 +331,8 @@ void Engine::retire_version_locked(Version* version) {
   // destroying them and the Model frees the version's activation tensors
   // and prepared storage — the memory reclamation the drain protocol
   // promises.
-  entry.sessions_destroyed += version->sessions.size();
-  ++entry.versions_retired;
+  entry.stats.sessions_destroyed += version->sessions.size();
+  ++entry.stats.versions_retired;
   for (auto it = entry.versions.begin(); it != entry.versions.end(); ++it) {
     if (it->get() == version) {
       entry.versions.erase(it);
@@ -370,7 +370,7 @@ void Engine::release(Version* version, Session* session) {
     // contained kernel failure) is never re-leased; a draining version
     // gives sessions back to the allocator, not the free list.
     if (poisoned) {
-      entry.invoke_errors += session->last_stats().invoke_errors;
+      entry.stats.invoke_errors += session->last_stats().invoke_errors;
     }
     for (auto it = version->sessions.begin(); it != version->sessions.end();
          ++it) {
@@ -379,7 +379,7 @@ void Engine::release(Version* version, Session* session) {
         break;
       }
     }
-    ++entry.sessions_destroyed;
+    ++entry.stats.sessions_destroyed;
   } else {
     version->free_list.push_back(session);
   }
@@ -395,11 +395,7 @@ EnginePoolStats Engine::pool_stats(const std::string& name) const {
     const std::size_t i = find_entry_locked(name);
     MLX_CHECK(i != kNpos) << "model '" << name << "' not loaded";
     const Entry& entry = *entries_[i];
-    stats.sessions_created = entry.sessions_created;
-    stats.leases_issued = entry.leases_issued;
-    stats.versions_retired = entry.versions_retired;
-    stats.invoke_errors = entry.invoke_errors;
-    stats.sessions_destroyed = entry.sessions_destroyed;
+    stats = entry.stats;
     stats.live_versions = entry.versions.size();
     for (const auto& v : entry.versions) {
       stats.leases_outstanding += v->leases_outstanding;
@@ -483,7 +479,7 @@ void Engine::enable_canary(const std::string& name, Graph reference,
   // step, same rationale as load()).
   state->model = std::make_unique<Model>(
       std::move(reference), resolver != nullptr ? resolver : resolver_,
-      pool_.get(), num_threads_);
+      num_threads_, pool_.get());
   state->session = std::make_unique<Session>(state->model.get());
   const std::size_t steps = state->model->plan().steps().size();
   state->err_sum.assign(steps, 0.0);

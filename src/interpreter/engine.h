@@ -193,11 +193,9 @@ class Engine {
     bool unloaded = false;  // hidden from find/acquire; dies with last version
     std::vector<std::unique_ptr<Version>> versions;
     std::uint64_t next_version_id = 1;
-    std::uint64_t leases_issued = 0;
-    std::size_t sessions_created = 0;
-    std::uint64_t versions_retired = 0;
-    std::uint64_t invoke_errors = 0;
-    std::size_t sessions_destroyed = 0;
+    // Only the name-wide counters are kept here; pool_stats() fills in the
+    // per-version and canary fields.
+    EnginePoolStats stats;
   };
 
   // Per-name canary state; defined in engine.cc (holds the reference Model +

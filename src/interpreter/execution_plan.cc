@@ -4,8 +4,7 @@
 
 namespace mlexray {
 
-ExecutionPlan::ExecutionPlan(const Graph& graph, const OpResolver& resolver,
-                             PoolRef pool) {
+ExecutionPlan::ExecutionPlan(const Graph& graph, const OpResolver& resolver) {
   // Load-failure fault point: a throw here aborts Model construction before
   // any prepare hook runs, so Engine::load fails cleanly — hot-swap tests
   // use it to assert a failed v2 load leaves v1 serving.
@@ -48,7 +47,6 @@ ExecutionPlan::ExecutionPlan(const Graph& graph, const OpResolver& resolver,
     KernelContext ctx;
     ctx.node = &n;
     ctx.output = &output;
-    ctx.pool = pool;
     ctx.prepared = step.prepared;
     ctx.inputs.reserve(inputs.size());
     for (const Tensor& t : inputs) ctx.inputs.push_back(&t);

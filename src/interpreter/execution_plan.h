@@ -34,11 +34,11 @@ class ExecutionPlan {
   // Resolves every non-input node of `graph` against `resolver` and runs each
   // kernel's prepare hook exactly once. Prepare hooks see a context wired to
   // transient metadata tensors (shapes, dtypes, quant params are final;
-  // activation *data* must not be read — the same contract as before).
-  // `pool` is only used to parallelize prepare work itself. Prepared results
+  // activation *data* must not be read) and no pool: prepare work runs on
+  // the constructing thread. Prepared results
   // live in plan-owned PreparedStorage for the plan's lifetime. graph and
   // resolver must outlive the plan.
-  ExecutionPlan(const Graph& graph, const OpResolver& resolver, PoolRef pool);
+  ExecutionPlan(const Graph& graph, const OpResolver& resolver);
 
   const std::vector<PlanStep>& steps() const { return steps_; }
 

@@ -111,24 +111,8 @@ struct FrontDoorModelEntry {
   std::vector<FrontDoorSlot*> free_slots;
   std::vector<FrontDoorSlot*> pending;
 
-  // Counters (mirrored into FrontDoorStats).
-  std::uint64_t s_submitted = 0;
-  std::uint64_t s_admitted = 0;
-  std::uint64_t s_ok = 0;
-  std::uint64_t s_failed = 0;
-  std::uint64_t s_deadline = 0;
-  std::uint64_t s_shed = 0;
-  std::uint64_t s_unknown = 0;
-  std::uint64_t s_flushed = 0;
-  std::uint64_t s_rej_full = 0;
-  std::uint64_t s_rej_infeasible = 0;
-  std::uint64_t s_rej_breaker = 0;
-  std::uint64_t s_retries = 0;
-  std::uint64_t s_deadline_requeues = 0;
-  std::uint64_t s_batches = 0;
-  std::vector<std::uint64_t> batch_hist;
-  std::size_t max_queue_depth = 0;
-  std::size_t inflight = 0;  // requests inside a dispatched batch
+  // The counters, inflight included; stats() adds the snapshot fields.
+  FrontDoorStats stats;
   std::size_t inflight_batches = 0;
 
   double est_us = 0.0;  // EWMA per-batch service time
@@ -136,8 +120,9 @@ struct FrontDoorModelEntry {
   BreakerState breaker = BreakerState::kClosed;
   int consecutive_failures = 0;
   std::chrono::steady_clock::time_point breaker_opened_at{};
-  std::uint64_t breaker_version = 0;  // engine version the breaker is keyed to
-  std::uint64_t breaker_trips = 0;
+  // Per variant (opts.variants order): the engine version it served when
+  // the breaker last reset. Sized at registration.
+  std::vector<std::uint64_t> breaker_versions;
   bool probe_inflight = false;  // half-open: one probe batch at a time
 };
 
@@ -306,7 +291,12 @@ void FrontDoor::register_model(const std::string& name,
     entry->max_batch = largest;
   }
   entry->opts.max_batch = entry->max_batch;
-  entry->batch_hist.assign(static_cast<std::size_t>(entry->max_batch) + 1, 0);
+  entry->stats.batch_size_hist.assign(
+      static_cast<std::size_t>(entry->max_batch) + 1, 0);
+  // Registration is the breaker's first reset.
+  for (const FrontDoorBatchVariant& v : entry->opts.variants) {
+    entry->breaker_versions.push_back(engine_->serving_version(v.engine_model));
+  }
 
   // Slot pool: the bounded queue plus every worker's largest possible
   // in-flight batch. Done-but-unreleased Tickets borrow from the same pool,
@@ -392,16 +382,16 @@ RequestCode FrontDoor::admit_locked(ModelEntry& m, const Tensor& input,
                                     FrontDoorCallback done, void* done_ctx,
                                     Clock::time_point now,
                                     FrontDoorSlot** out_slot) {
-  ++m.s_submitted;
+  ++m.stats.submitted;
   if (!breaker_admits_locked(m, now)) {
-    ++m.s_rej_breaker;
+    ++m.stats.rejected_breaker_open;
     if (observer_ != nullptr) {
       observer_->on_rejected(m.name, RequestCode::kBreakerOpen);
     }
     return RequestCode::kBreakerOpen;
   }
   if (m.pending.size() >= m.opts.queue_capacity || m.free_slots.empty()) {
-    ++m.s_rej_full;
+    ++m.stats.rejected_queue_full;
     if (observer_ != nullptr) {
       observer_->on_rejected(m.name, RequestCode::kQueueFull);
     }
@@ -417,7 +407,7 @@ RequestCode FrontDoor::admit_locked(ModelEntry& m, const Tensor& input,
         std::floor(static_cast<double>(m.pending.size()) /
                    static_cast<double>(m.max_batch));
     if (batches_ahead * m.est_us > dl_ms * 1000.0) {
-      ++m.s_rej_infeasible;
+      ++m.stats.rejected_infeasible;
       if (observer_ != nullptr) {
         observer_->on_rejected(m.name, RequestCode::kDeadlineInfeasible);
       }
@@ -450,8 +440,9 @@ RequestCode FrontDoor::admit_locked(ModelEntry& m, const Tensor& input,
   slot->result.outputs = slot->outputs.data();
   slot->result.output_count = static_cast<int>(slot->outputs.size());
   m.pending.push_back(slot);
-  ++m.s_admitted;
-  m.max_queue_depth = std::max(m.max_queue_depth, m.pending.size());
+  ++m.stats.admitted;
+  m.stats.max_queue_depth =
+      std::max(m.stats.max_queue_depth, m.pending.size());
   *out_slot = slot;
   work_cv_.notify_one();
   return RequestCode::kOk;
@@ -467,14 +458,25 @@ bool FrontDoor::breaker_admits_locked(ModelEntry& m, Clock::time_point now) {
   }
   // A hot-swap heals an open breaker immediately: the failing version is
   // gone, the new one deserves traffic.
-  const std::uint64_t v =
-      engine_->serving_version(m.opts.variants[0].engine_model);
-  if (v != 0 && v != m.breaker_version) {
-    breaker_transition_locked(m, BreakerState::kClosed, now);
-    m.breaker_version = v;
-    return true;
+  return reset_breaker_on_swap_locked(m, now);
+}
+
+bool FrontDoor::reset_breaker_on_swap_locked(ModelEntry& m,
+                                             Clock::time_point now) {
+  bool swapped = false;
+  for (std::size_t i = 0; i < m.breaker_versions.size(); ++i) {
+    const std::uint64_t v =
+        engine_->serving_version(m.opts.variants[i].engine_model);
+    if (v != 0 && v != m.breaker_versions[i]) {
+      m.breaker_versions[i] = v;
+      swapped = true;
+    }
   }
-  return false;
+  if (swapped) {
+    m.consecutive_failures = 0;
+    breaker_transition_locked(m, BreakerState::kClosed, now);
+  }
+  return swapped;
 }
 
 void FrontDoor::breaker_transition_locked(ModelEntry& m, BreakerState to,
@@ -483,7 +485,7 @@ void FrontDoor::breaker_transition_locked(ModelEntry& m, BreakerState to,
   const BreakerState from = m.breaker;
   m.breaker = to;
   if (to == BreakerState::kOpen) {
-    ++m.breaker_trips;
+    ++m.stats.breaker_trips;
     m.breaker_opened_at = now;
     m.probe_inflight = false;
   } else if (to == BreakerState::kClosed) {
@@ -491,7 +493,7 @@ void FrontDoor::breaker_transition_locked(ModelEntry& m, BreakerState to,
     m.probe_inflight = false;
   }
   if (observer_ != nullptr) {
-    observer_->on_breaker(m.name, m.breaker_version, from, to);
+    observer_->on_breaker(m.name, from, to);
   }
 }
 
@@ -503,22 +505,22 @@ void FrontDoor::complete_locked(ModelEntry& m, FrontDoorSlot* slot,
   slot->result.retried = slot->retried;
   switch (code) {
     case RequestCode::kOk:
-      ++m.s_ok;
+      ++m.stats.completed_ok;
       break;
     case RequestCode::kError:
-      ++m.s_failed;
+      ++m.stats.failed;
       break;
     case RequestCode::kDeadlineExceeded:
-      ++m.s_deadline;
+      ++m.stats.deadline_exceeded;
       break;
     case RequestCode::kUnknownModel:
-      ++m.s_unknown;
+      ++m.stats.unknown_model;
       break;
     case RequestCode::kShed:
-      ++m.s_shed;
+      ++m.stats.shed;
       break;
     case RequestCode::kBreakerOpen:
-      ++m.s_flushed;
+      ++m.stats.flushed_breaker_open;
       break;
     default:
       break;
@@ -595,10 +597,10 @@ void FrontDoor::form_batch_locked(ModelEntry& m, Clock::time_point now,
   for (FrontDoorSlot* slot : batch) {
     slot->result.queue_us = us_between(slot->submit_time, now);
   }
-  m.inflight += n;
+  m.stats.inflight += n;
   ++m.inflight_batches;
-  ++m.s_batches;
-  if (n < m.batch_hist.size()) ++m.batch_hist[n];
+  ++m.stats.batches;
+  if (n < m.stats.batch_size_hist.size()) ++m.stats.batch_size_hist[n];
   if (m.breaker == BreakerState::kHalfOpen) m.probe_inflight = true;
 }
 
@@ -675,18 +677,13 @@ void FrontDoor::execute_batch(ModelEntry& m,
 
   lock.lock();
   const Clock::time_point now = Clock::now();
-  m.inflight -= n;
+  m.stats.inflight -= n;
   --m.inflight_batches;
   if (was_probe) m.probe_inflight = false;
 
-  // Breaker keying: a new engine version gets a clean slate.
-  if (version != 0 && version != m.breaker_version) {
-    if (m.breaker != BreakerState::kClosed) {
-      breaker_transition_locked(m, BreakerState::kClosed, now);
-    }
-    m.breaker_version = version;
-    m.consecutive_failures = 0;
-  }
+  // A hot-swap of any variant gives the breaker a clean slate before this
+  // batch's outcome counts.
+  reset_breaker_on_swap_locked(m, now);
 
   for (FrontDoorSlot* slot : batch) {
     slot->result.batch_size = static_cast<int>(n);
@@ -746,7 +743,7 @@ void FrontDoor::execute_batch(ModelEntry& m,
         slot->retried = true;
         slot->not_before = now + ms_duration(backoff_ms);
         m.pending.push_back(slot);
-        ++m.s_retries;
+        ++m.stats.retries;
       } else {
         complete_locked(m, slot, RequestCode::kError, now, callback_batch);
       }
@@ -767,7 +764,7 @@ void FrontDoor::execute_batch(ModelEntry& m,
           m.pending.size() < m.opts.queue_capacity) {
         slot->deadline_requeued = true;
         m.pending.push_back(slot);
-        ++m.s_deadline_requeues;
+        ++m.stats.deadline_requeues;
       } else {
         complete_locked(m, slot, RequestCode::kDeadlineExceeded, now,
                         callback_batch);
@@ -900,28 +897,10 @@ FrontDoorStats FrontDoor::stats(const std::string& model) const {
   const ModelEntry* m = find_model_locked(model);
   MLX_CHECK(m != nullptr) << "front-door model '" << model
                           << "' is not registered";
-  FrontDoorStats s;
-  s.submitted = m->s_submitted;
-  s.admitted = m->s_admitted;
-  s.completed_ok = m->s_ok;
-  s.failed = m->s_failed;
-  s.deadline_exceeded = m->s_deadline;
-  s.shed = m->s_shed;
-  s.unknown_model = m->s_unknown;
-  s.flushed_breaker_open = m->s_flushed;
-  s.rejected_queue_full = m->s_rej_full;
-  s.rejected_infeasible = m->s_rej_infeasible;
-  s.rejected_breaker_open = m->s_rej_breaker;
-  s.retries = m->s_retries;
-  s.deadline_requeues = m->s_deadline_requeues;
-  s.batches = m->s_batches;
-  s.batch_size_hist = m->batch_hist;
+  FrontDoorStats s = m->stats;
   s.queue_depth = m->pending.size();
-  s.max_queue_depth = m->max_queue_depth;
-  s.inflight = m->inflight;
   s.breaker_state = m->breaker;
-  s.breaker_trips = m->breaker_trips;
-  s.breaker_version = m->breaker_version;
+  s.breaker_versions = m->breaker_versions;
   s.service_estimate_us = m->est_us;
   return s;
 }

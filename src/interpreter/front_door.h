@@ -48,15 +48,16 @@
 // sustained overload the lowest-priority / closest-to-expiry requests are
 // therefore the ones shed rather than everyone degrading together.
 //
-// Circuit breaker. Per model, keyed to the engine version that served the
-// last batch. consecutive failed invokes >= breaker_failure_threshold trips
+// Circuit breaker. Per model, keyed to the engine version each batch
+// variant served at the breaker's last reset. consecutive failed invokes
+// (across all variants) >= breaker_failure_threshold trips
 // the breaker open: queued requests flush as kBreakerOpen (on every
 // transition to open — the initial trip and a failed half-open probe alike,
 // so requests admitted behind a probe are never stranded) and new submits
 // fail fast without touching the engine. After breaker_open_ms the breaker
 // half-opens and admits a single probe batch: success closes it, failure
-// re-opens. A hot-swap (engine serving version changes) resets the breaker
-// immediately — the new version deserves a clean slate.
+// re-opens. A hot-swap (the engine serving version of any variant changes)
+// resets the breaker immediately — the new version deserves a clean slate.
 //
 // Retry. A batch that fails with a contained invoke error (kError — the
 // poisoned session is destroyed by the Engine, so faults never leak across
@@ -187,8 +188,10 @@ struct FrontDoorStats {
   std::size_t inflight = 0;         // snapshot: requests inside an invoke
   BreakerState breaker_state = BreakerState::kClosed;
   std::uint64_t breaker_trips = 0;
-  std::uint64_t breaker_version = 0;  // engine version the breaker is keyed to
-  double service_estimate_us = 0.0;   // EWMA per-batch service time
+  // Snapshot, per variant (ascending batch): the engine version it served
+  // at the breaker's last reset.
+  std::vector<std::uint64_t> breaker_versions;
+  double service_estimate_us = 0.0;  // EWMA per-batch service time
 };
 
 // Push-based visibility into *why* requests are dropped — the serving-side
@@ -219,10 +222,9 @@ class FrontDoorObserver {
     (void)code;
     (void)latency_us;
   }
-  virtual void on_breaker(const std::string& model, std::uint64_t version,
-                          BreakerState from, BreakerState to) {
+  virtual void on_breaker(const std::string& model, BreakerState from,
+                          BreakerState to) {
     (void)model;
-    (void)version;
     (void)from;
     (void)to;
   }
@@ -339,6 +341,10 @@ class FrontDoor {
   void breaker_transition_locked(ModelEntry& m, BreakerState to,
                                  Clock::time_point now);
   bool breaker_admits_locked(ModelEntry& m, Clock::time_point now);
+  // Resets the breaker (closed, failure count 0) when any variant's engine
+  // serving version differs from the one recorded at the last reset, and
+  // records the new versions. Returns whether it reset.
+  bool reset_breaker_on_swap_locked(ModelEntry& m, Clock::time_point now);
   void form_batch_locked(ModelEntry& m, Clock::time_point now,
                          std::vector<FrontDoorSlot*>& batch);
   void execute_batch(ModelEntry& m, std::vector<FrontDoorSlot*>& batch,

@@ -4,33 +4,21 @@
 
 namespace mlexray {
 
-Model::Model(Graph graph, const OpResolver* resolver, int num_threads)
+Model::Model(Graph graph, const OpResolver* resolver, int num_threads,
+             ThreadPool* shared_pool)
     : owned_graph_(std::make_unique<const Graph>(std::move(graph))),
       graph_(owned_graph_.get()),
       resolver_(resolver) {
-  build(/*shared_pool=*/nullptr, num_threads);
+  build(num_threads, shared_pool);
 }
 
-Model::Model(const Graph* graph, const OpResolver* resolver, int num_threads)
+Model::Model(const Graph* graph, const OpResolver* resolver, int num_threads,
+             ThreadPool* shared_pool)
     : graph_(graph), resolver_(resolver) {
-  build(/*shared_pool=*/nullptr, num_threads);
+  build(num_threads, shared_pool);
 }
 
-Model::Model(Graph graph, const OpResolver* resolver, ThreadPool* shared_pool,
-             int num_threads)
-    : owned_graph_(std::make_unique<const Graph>(std::move(graph))),
-      graph_(owned_graph_.get()),
-      resolver_(resolver) {
-  build(shared_pool, num_threads);
-}
-
-Model::Model(const Graph* graph, const OpResolver* resolver,
-             ThreadPool* shared_pool, int num_threads)
-    : graph_(graph), resolver_(resolver) {
-  build(shared_pool, num_threads);
-}
-
-void Model::build(ThreadPool* shared_pool, int num_threads) {
+void Model::build(int num_threads, ThreadPool* shared_pool) {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
   MLX_CHECK(graph_ != nullptr);
@@ -42,18 +30,17 @@ void Model::build(ThreadPool* shared_pool, int num_threads) {
   // shared pool the model owns its worker set outright — sized by
   // ThreadPool::workers_for, so it never outgrows the host's cores — and
   // concurrent models never contend for submission slots.
-  thread_cap_ = num_threads > 1 ? num_threads : 1;
-  if (thread_cap_ > 1) {
+  if (num_threads > 1) {
     if (shared_pool == nullptr) {
       owned_pool_ =
-          std::make_unique<ThreadPool>(ThreadPool::workers_for(thread_cap_));
+          std::make_unique<ThreadPool>(ThreadPool::workers_for(num_threads));
       shared_pool = owned_pool_.get();
     }
-    pool_ref_ = PoolRef(shared_pool, static_cast<std::size_t>(thread_cap_));
+    pool_ref_ = PoolRef(shared_pool, static_cast<std::size_t>(num_threads));
   }
   input_ids_ = graph_->input_ids();
   MLX_CHECK(!input_ids_.empty()) << "graph has no inputs";
-  plan_ = std::make_unique<ExecutionPlan>(*graph_, *resolver_, pool_ref_);
+  plan_ = std::make_unique<ExecutionPlan>(*graph_, *resolver_);
   prepare_ms_ =
       std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }

@@ -33,28 +33,25 @@ namespace mlexray {
 class Model {
  public:
   // Owning: moves the graph in, so the Model is self-contained (the Engine's
-  // load path). resolver must outlive the Model. num_threads > 1 gives the
-  // model its OWN bounded worker set of at most num_threads - 1 threads,
-  // clamped to the host's spare cores (ThreadPool::workers_for; the
-  // invoking thread participates as worker 0), and num_threads is a hard
-  // participant cap: no parallel_for issued by this model's sessions ever
-  // uses more than num_threads threads. Different models' pools are fully
-  // independent — concurrent sessions do not serialize across models.
-  Model(Graph graph, const OpResolver* resolver, int num_threads = 1);
+  // load path). resolver must outlive the Model.
+  //
+  // num_threads is a hard participant cap: no parallel_for issued by this
+  // model's sessions ever uses more than num_threads threads. With no
+  // shared_pool, num_threads > 1 gives the model its OWN bounded worker set
+  // of at most num_threads - 1 threads, clamped to the host's spare cores
+  // (ThreadPool::workers_for; the invoking thread participates too), so
+  // different models' pools are fully independent. With a shared_pool (the
+  // Engine's), the model fans work onto that caller-owned pool — which may
+  // serve many models at once, running their jobs side by side — and
+  // shared_pool must outlive the Model. num_threads <= 1 runs kernels
+  // single-threaded either way.
+  Model(Graph graph, const OpResolver* resolver, int num_threads = 1,
+        ThreadPool* shared_pool = nullptr);
 
-  // Non-owning: graph must outlive the Model (call sites that keep the Graph
+  // Borrowing: graph must outlive the Model (call sites that keep the Graph
   // alive themselves, e.g. to build a float and an int8 variant from it).
-  Model(const Graph* graph, const OpResolver* resolver, int num_threads = 1);
-
-  // Shared-pool variants (the Engine's load path): the model fans work onto
-  // the caller-owned `shared_pool` — which may serve many models at once;
-  // the pool runs concurrent jobs side by side — but never with more than
-  // num_threads participants per job. shared_pool must outlive the Model;
-  // nullptr or num_threads <= 1 runs kernels single-threaded.
-  Model(Graph graph, const OpResolver* resolver, ThreadPool* shared_pool,
-        int num_threads);
-  Model(const Graph* graph, const OpResolver* resolver,
-        ThreadPool* shared_pool, int num_threads);
+  Model(const Graph* graph, const OpResolver* resolver, int num_threads = 1,
+        ThreadPool* shared_pool = nullptr);
 
   Model(const Model&) = delete;
   Model& operator=(const Model&) = delete;
@@ -63,11 +60,9 @@ class Model {
   const OpResolver& resolver() const { return *resolver_; }
   const ExecutionPlan& plan() const { return *plan_; }
   // The capped pool view sessions wire into every kernel context; null when
-  // the model runs single-threaded.
+  // the model runs single-threaded. Its cap() is the num_threads the model
+  // honors: the max participants of any parallel_for its sessions submit.
   PoolRef pool() const { return pool_ref_; }
-  // The num_threads this model honors (>= 1): the max participants of any
-  // parallel_for a session of this model submits.
-  int thread_cap() const { return thread_cap_; }
   const std::string& name() const { return graph_->name; }
 
   // Ids of the graph's kInput nodes, in insertion order (cached so sessions
@@ -82,14 +77,13 @@ class Model {
   double prepare_ms() const { return prepare_ms_; }
 
  private:
-  void build(ThreadPool* shared_pool, int num_threads);
+  void build(int num_threads, ThreadPool* shared_pool);
 
   std::unique_ptr<const Graph> owned_graph_;  // null in the non-owning case
   const Graph* graph_;
   const OpResolver* resolver_;
   std::unique_ptr<ThreadPool> owned_pool_;  // per-model worker set (if any)
-  PoolRef pool_ref_;  // owned or shared pool + thread_cap_; null => inline
-  int thread_cap_ = 1;
+  PoolRef pool_ref_;  // owned or shared pool + num_threads cap; null => inline
   std::unique_ptr<ExecutionPlan> plan_;
   std::vector<int> input_ids_;
   double prepare_ms_ = 0.0;

@@ -57,13 +57,6 @@ struct KernelContext {
     MLX_CHECK(arena != nullptr) << "kernel context has no scratch arena";
     return arena->allocate_array<T>(static_cast<std::size_t>(count));
   }
-
-  // Worker slots a parallel_for_workers body may observe (>= 1). Reflects
-  // the *executing* context's pool and participant cap — size per-worker
-  // scratch from this at invoke time, never from a pool seen at prepare
-  // time (the trainer and a serving session can execute the same kernel
-  // with different pools and caps).
-  std::size_t worker_count() const { return pool.parallelism(); }
 };
 
 using KernelFn = std::function<void(const KernelContext&)>;

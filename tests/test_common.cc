@@ -15,7 +15,6 @@
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
 #include "src/common/thread_pool.h"
-#include "src/kernels/kernel.h"
 
 namespace mlexray {
 namespace {
@@ -121,21 +120,6 @@ TEST(ThreadPool, MinChunkRespectsGranularity) {
   EXPECT_EQ(covered, 100u);
 }
 
-TEST(ThreadPool, WorkerIndexVariantCoversRangeWithValidIds) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(64);
-  std::atomic<bool> bad_worker{false};
-  pool.parallel_for_workers(
-      0, 64,
-      [&](std::size_t lo, std::size_t hi, std::size_t worker) {
-        if (worker >= pool.parallelism()) bad_worker = true;
-        for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-      },
-      /*min_chunk=*/4);
-  EXPECT_FALSE(bad_worker.load());
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, BackToBackJobsReuseWorkers) {
   ThreadPool pool(2);
   for (int round = 0; round < 50; ++round) {
@@ -148,75 +132,76 @@ TEST(ThreadPool, BackToBackJobsReuseWorkers) {
   }
 }
 
+// Most distinct threads that ran chunks of any one of `rounds` jobs
+// submitted through `run` over [0, n) with min_chunk 1. Every chunk does a
+// little real work so workers get every chance to (wrongly) join.
+template <typename Run>
+std::size_t max_threads_per_job(Run run, std::size_t n, int rounds) {
+  std::size_t most = 0;
+  for (int round = 0; round < rounds; ++round) {
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    run(n, [&](std::size_t lo, std::size_t hi) {
+      volatile std::size_t sink = 0;
+      for (std::size_t i = lo; i < hi; ++i) sink = sink + i;
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    });
+    most = std::max(most, threads.size());
+  }
+  return most;
+}
+
 // The headline num_threads bugfix: a participant cap of k must mean AT MOST
 // k distinct threads touch the job, no matter how wide the pool is. Counted
 // over many rounds so workers get every chance to (wrongly) join.
 TEST(ThreadPool, ParticipantCapIsAHardLimit) {
   ThreadPool pool(7);  // parallelism() == 8, far above the cap under test
   constexpr std::size_t kCap = 2;
-  std::atomic<std::size_t> max_index{0};
-  std::mutex mu;
-  for (int round = 0; round < 200; ++round) {
-    pool.parallel_for_workers(
-        0, 64,
-        [&](std::size_t lo, std::size_t hi, std::size_t worker) {
-          std::size_t seen = max_index.load();
-          while (worker > seen &&
-                 !max_index.compare_exchange_weak(seen, worker)) {
-          }
-          // Touch the range so the chunk is real work, not a no-op the
-          // optimizer could collapse.
-          volatile std::size_t sink = 0;
-          for (std::size_t i = lo; i < hi; ++i) sink = sink + i;
-        },
-        /*min_chunk=*/1, /*max_participants=*/kCap);
-  }
-  EXPECT_LT(max_index.load(), kCap)
-      << "worker index escaped the participant cap";
-  // Distinct threads inside one job must also respect the cap (indices
-  // could lie; thread identity cannot).
-  std::set<std::thread::id> single_round;
-  pool.parallel_for_workers(
-      0, 256,
-      [&](std::size_t, std::size_t, std::size_t) {
-        std::lock_guard<std::mutex> lock(mu);
-        single_round.insert(std::this_thread::get_id());
-      },
-      /*min_chunk=*/1, /*max_participants=*/kCap);
-  EXPECT_LE(single_round.size(), kCap);
+  const auto capped = [&](std::size_t n,
+                          FunctionRef<void(std::size_t, std::size_t)> fn) {
+    pool.parallel_for(0, n, fn, /*min_chunk=*/1, /*max_participants=*/kCap);
+  };
+  EXPECT_LE(max_threads_per_job(capped, 64, 200), kCap)
+      << "more threads joined a job than its participant cap allows";
+  EXPECT_LE(max_threads_per_job(capped, 256, 1), kCap);
 }
 
-TEST(ThreadPool, PoolRefAppliesCapAndReportsCappedParallelism) {
+TEST(ThreadPool, PoolRefAppliesCapToParticipants) {
   ThreadPool pool(5);
-  EXPECT_EQ(PoolRef(&pool).parallelism(), 6u);
-  EXPECT_EQ(PoolRef(&pool, 3).parallelism(), 3u);
-  EXPECT_EQ(PoolRef(&pool, 100).parallelism(), 6u);  // cap above pool width
-  EXPECT_EQ(PoolRef().parallelism(), 1u);
+  const auto through = [](PoolRef ref) {
+    return [ref](std::size_t n,
+                 FunctionRef<void(std::size_t, std::size_t)> fn) {
+      ref.parallel_for(0, n, fn, /*min_chunk=*/1);
+    };
+  };
+  EXPECT_LE(max_threads_per_job(through(PoolRef(&pool)), 128, 50), 6u);
+  EXPECT_LE(max_threads_per_job(through(PoolRef(&pool, 3)), 128, 50), 3u);
+  // A cap above the pool width is bounded by the pool.
+  EXPECT_LE(max_threads_per_job(through(PoolRef(&pool, 100)), 128, 50), 6u);
 
-  // A null ref runs inline; a capped ref never hands out an index >= cap.
+  // A null ref runs the whole range inline on the calling thread.
   int inline_calls = 0;
-  PoolRef().parallel_for_workers(0, 10, [&](std::size_t lo, std::size_t hi,
-                                            std::size_t worker) {
+  const std::thread::id caller = std::this_thread::get_id();
+  PoolRef().parallel_for(0, 10, [&](std::size_t lo, std::size_t hi) {
     ++inline_calls;
-    EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     EXPECT_EQ(lo, 0u);
     EXPECT_EQ(hi, 10u);
   });
   EXPECT_EQ(inline_calls, 1);
 
+  // A capped ref still covers the range exactly once per job.
   PoolRef capped(&pool, 3);
-  std::atomic<bool> over_cap{false};
   std::vector<std::atomic<int>> hits(128);
   for (int round = 0; round < 50; ++round) {
-    capped.parallel_for_workers(
+    capped.parallel_for(
         0, 128,
-        [&](std::size_t lo, std::size_t hi, std::size_t worker) {
-          if (worker >= capped.parallelism()) over_cap = true;
+        [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
         },
         /*min_chunk=*/1);
   }
-  EXPECT_FALSE(over_cap.load());
   for (const auto& h : hits) EXPECT_EQ(h.load(), 50);
 }
 
@@ -280,9 +265,9 @@ TEST(ThreadPool, CrossPoolSubmissionDoesNotInline) {
   std::atomic<bool> rendezvous_ok{true};
   std::atomic<int> whole_range_calls{0};
   std::atomic<int> chunk_calls[2] = {{0}, {0}};
-  pool_a.parallel_for_workers(
+  pool_a.parallel_for(
       0, 2,
-      [&](std::size_t lo, std::size_t, std::size_t outer_worker) {
+      [&](std::size_t lo, std::size_t) {
         if (!rv.arrive_and_wait(2)) rendezvous_ok = false;
         std::vector<std::atomic<int>> hits(64);
         pool_b.parallel_for(
@@ -296,7 +281,6 @@ TEST(ThreadPool, CrossPoolSubmissionDoesNotInline) {
         for (const auto& h : hits) {
           if (h.load() != 1) rendezvous_ok = false;  // lost/duplicated chunks
         }
-        (void)outer_worker;
       },
       /*min_chunk=*/1);
   ASSERT_TRUE(rendezvous_ok.load());
@@ -315,9 +299,10 @@ TEST(ThreadPool, NestedSubmissionToOwnPoolRunsInline) {
   Rendezvous rv;
   std::atomic<bool> rendezvous_ok{true};
   std::atomic<int> worker_inline_violations{0};
-  pool.parallel_for_workers(
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.parallel_for(
       0, 2,
-      [&](std::size_t, std::size_t, std::size_t outer_worker) {
+      [&](std::size_t, std::size_t) {
         if (!rv.arrive_and_wait(2)) rendezvous_ok = false;
         // Atomics: the caller's nested call is a real submission, so its
         // inner body may run on several threads.
@@ -330,59 +315,17 @@ TEST(ThreadPool, NestedSubmissionToOwnPoolRunsInline) {
               if (ilo == 0 && ihi == 64) full_range = true;
             },
             /*min_chunk=*/4);
-        // outer_worker 1 is the pool-owned thread: its nested call must be
-        // one inline pass over the whole range. The caller (worker 0) is
-        // not a pool thread, so its nested call submits normally.
-        if (outer_worker != 0 && !(calls.load() == 1 && full_range.load())) {
+        // The pool-owned thread's nested call must be one inline pass over
+        // the whole range. The caller is not a pool thread, so its nested
+        // call submits normally.
+        if (std::this_thread::get_id() != caller &&
+            !(calls.load() == 1 && full_range.load())) {
           worker_inline_violations.fetch_add(1);
         }
       },
       /*min_chunk=*/1);
   ASSERT_TRUE(rendezvous_ok.load());
   EXPECT_EQ(worker_inline_violations.load(), 0);
-}
-
-// Forced prepare/invoke pool mismatch (satellite bugfix): per-worker scratch
-// must be sized from the EXECUTING context's worker_count(), and the worker
-// indices that context's pool hands out must stay below it — even when a
-// different, wider pool was attached at prepare time (trainer vs serving
-// path). Before caps existed, sizing from the prepare-time pool and
-// executing on a wider one indexed past the end of the scratch slices.
-TEST(KernelContextScratch, WorkerIndicesStayWithinExecutingWorkerCount) {
-  ThreadPool prepare_pool(2);  // what the plan build saw: worker_count 3
-  ThreadPool serving_pool(7);  // what actually executes, capped to 2
-
-  KernelContext prepare_ctx;
-  prepare_ctx.pool = PoolRef(&prepare_pool);
-  EXPECT_EQ(prepare_ctx.worker_count(), 3u);
-
-  KernelContext exec_ctx;
-  exec_ctx.pool = PoolRef(&serving_pool, /*cap=*/2);
-  ASSERT_EQ(exec_ctx.worker_count(), 2u);
-
-  // Size per-worker slices from the executing context (the contract) and
-  // prove no index the executing pool hands out can escape them, over many
-  // rounds so every pool thread gets a chance to misbehave.
-  std::vector<std::atomic<int>> slices(exec_ctx.worker_count());
-  std::atomic<bool> out_of_bounds{false};
-  for (int round = 0; round < 100; ++round) {
-    exec_ctx.pool.parallel_for_workers(
-        0, 96,
-        [&](std::size_t lo, std::size_t hi, std::size_t worker) {
-          if (worker >= slices.size()) {
-            out_of_bounds = true;
-            return;
-          }
-          slices[worker].fetch_add(static_cast<int>(hi - lo));
-        },
-        /*min_chunk=*/1);
-  }
-  EXPECT_FALSE(out_of_bounds.load())
-      << "executing pool handed out a worker index past the scratch sized "
-         "from the executing context";
-  int covered = 0;
-  for (auto& s : slices) covered += s.load();
-  EXPECT_EQ(covered, 96 * 100);
 }
 
 TEST(BinaryIo, RoundTripAllTypes) {

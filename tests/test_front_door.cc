@@ -492,7 +492,7 @@ TEST_F(FrontDoorTest, CoalescedPeerWithRoomIsRequeuedNotFailedOnBatchExpiry) {
 
 class BreakerRecorder : public FrontDoorObserver {
  public:
-  void on_breaker(const std::string&, std::uint64_t, BreakerState from,
+  void on_breaker(const std::string&, BreakerState from,
                   BreakerState to) override {
     transitions.push_back({from, to});
   }
@@ -714,6 +714,77 @@ TEST_F(FrontDoorTest, HotSwapHealsAnOpenBreakerImmediately) {
   EXPECT_EQ(r.code, RequestCode::kOk);
   EXPECT_EQ(r.version, 2u);
   EXPECT_EQ(door.stats("stack").breaker_state, BreakerState::kClosed);
+}
+
+// The b1 and b4 variants sit at different engine versions ("m@b4" loaded
+// twice), as after an asymmetric hot-swap. Failing batches on either
+// variant must count toward one failure streak, and only a real swap may
+// heal the breaker. A single request dispatches on b1 once max_wait_ms
+// passes; four requests fill a b4 batch at once.
+class BreakerAcrossVariants : public FrontDoorTest {
+ protected:
+  void register_m(int threshold) {
+    engine_.load("m", conv_stack_graph(95));
+    engine_.load("m@b4", conv_stack_graph(95, 4));
+    engine_.load("m@b4", conv_stack_graph(95, 4));
+    ASSERT_EQ(engine_.serving_version("m"), 1u);
+    ASSERT_EQ(engine_.serving_version("m@b4"), 2u);
+    FrontDoorModelOptions opts;
+    opts.variants = {{1, "m"}, {4, "m@b4"}};
+    opts.max_wait_ms = 100.0;
+    opts.breaker_failure_threshold = threshold;
+    opts.breaker_open_ms = 10000.0;  // no half-open probe during the test
+    opts.retry_transient_faults = false;
+    door_.register_model("m", opts);
+    fault::Spec boom;
+    boom.kind = fault::Kind::kThrow;  // every invoke fails
+    fault::arm(fault_sites::kInvokeStep, boom);
+  }
+
+  void fail_batch(int requests) {
+    std::vector<Ticket> tickets;
+    for (int i = 0; i < requests; ++i) tickets.push_back(door_.submit("m", x_));
+    for (Ticket& t : tickets) {
+      const RequestResult& r = t.wait();
+      EXPECT_EQ(r.code, RequestCode::kError);
+      EXPECT_EQ(r.batch_size, requests);
+    }
+  }
+
+  BuiltinOpResolver opt_;
+  Engine engine_{&opt_};
+  FrontDoor door_{&engine_};
+  Tensor x_ = [] {
+    Pcg32 drng(96);
+    return random_input(Shape{1, 16, 16, 8}, drng);
+  }();
+};
+
+TEST_F(BreakerAcrossVariants, AlternatingFailingVariantsTripTheBreaker) {
+  register_m(/*threshold=*/3);
+  fail_batch(1);
+  fail_batch(4);
+  EXPECT_EQ(door_.stats("m").breaker_state, BreakerState::kClosed);
+  fail_batch(1);
+  const FrontDoorStats s = door_.stats("m");
+  EXPECT_EQ(s.breaker_state, BreakerState::kOpen)
+      << "failures on variants at different versions reset the streak";
+  EXPECT_EQ(s.breaker_trips, 1u);
+  EXPECT_EQ(s.breaker_versions, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST_F(BreakerAcrossVariants, TripByOneVariantFailsFastWithoutASwap) {
+  register_m(/*threshold=*/2);
+  fail_batch(4);
+  fail_batch(4);
+  ASSERT_EQ(door_.stats("m").breaker_state, BreakerState::kOpen);
+  Ticket t = door_.submit("m", x_);
+  EXPECT_TRUE(t.done());
+  EXPECT_EQ(t.wait().code, RequestCode::kBreakerOpen)
+      << "the breaker healed although no variant was swapped";
+  const FrontDoorStats s = door_.stats("m");
+  EXPECT_EQ(s.breaker_state, BreakerState::kOpen);
+  EXPECT_EQ(s.rejected_breaker_open, 1u);
 }
 
 // --- bounded retry -----------------------------------------------------------

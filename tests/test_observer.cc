@@ -21,6 +21,7 @@
 #include <new>
 #include <string>
 
+#include "src/common/file_io.h"
 #include "src/core/monitor.h"
 #include "src/graph/builder.h"
 #include "src/quant/quantizer.h"
@@ -588,9 +589,56 @@ TEST(ObserverMultiOutput, MultiOutputCaptureIsHeapFreeInSteadyState) {
   monitor.unobserve(session);
 }
 
+TEST(ObserverSpool, SpoolWritesTheCanonicalFrameEncoding) {
+  // The spooler writes one frame at a time through a reused buffer; its
+  // bytes must be exactly what serialize_trace writes for the same frames.
+  // Keys are interned in an order other than name order (FrameTrace's maps
+  // serialize by name), every per-layer section is on, and one frame has no
+  // invoke, so re-encoding the loaded trace reproduces the file only if
+  // every section, count and ordering matches.
+  const auto path = std::filesystem::temp_directory_path() /
+                    "mlx_observer_spool_canonical.mlxtrace";
+  Pcg32 rng(251);
+  Graph m = conv_stack_model(&rng);
+  BuiltinOpResolver opt;
+  MonitorOptions opts;
+  opts.per_layer_outputs = true;
+  opts.per_layer_digests = true;
+  Pcg32 drng(252);
+  {
+    Model model(&m, &opt);
+    Session session(&model);
+    EdgeMLMonitor monitor(opts);
+    monitor.set_pipeline_name("canonical");
+    monitor.spool_to(path);
+    monitor.observe(session);
+    for (int i = 0; i < 3; ++i) {
+      const Tensor in = random_input(Shape{1, 16, 16, 8}, drng);
+      monitor.log_tensor("zz.sensor", in);
+      monitor.log_scalar("zz.score", 0.5 * i);
+      monitor.log_tensor("aa.sensor", in);
+      monitor.log_scalar("aa.score", -1.0 * i);
+      run_frame(monitor, session, in);
+    }
+    monitor.log_scalar("only.scalar", 7.0);  // a frame without an invoke
+    monitor.next_frame();
+    EXPECT_EQ(monitor.finish_spool(), 4u);
+    monitor.unobserve(session);
+  }
+  const std::vector<std::uint8_t> file = read_file(path);
+  const Trace loaded = load_trace(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(loaded.frames.size(), 4u);
+  EXPECT_TRUE(loaded.frames[0].has_tensor("aa.sensor"));
+  EXPECT_FALSE(loaded.frames[0].layer_digests.empty());
+  EXPECT_TRUE(loaded.frames[3].layer_names.empty());
+  EXPECT_TRUE(serialize_trace(loaded) == file)
+      << "spooled bytes differ from serialize_trace of the same frames";
+}
+
 TEST(ObserverSpool, BatchedSpoolRoundTripsManyFrames) {
   // The bounded frame queue: a ring deeper than two buffers feeds the spool
-  // worker, which drains every queued frame per wakeup into a single write.
+  // worker, which drains every queued frame per wakeup.
   // Whatever batching the scheduler produced, the file must round-trip all
   // frames in order with the header count patched at close.
   const auto path = std::filesystem::temp_directory_path() /
